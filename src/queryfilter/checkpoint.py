@@ -18,7 +18,7 @@ import numpy as np
 from .vae import VaeConfig, VaeParams, init_params, named_tensors
 
 MAGIC = b"QDVA"
-VERSION = 1
+VERSION = 2  # each GRU is one stacked (w, u, b) triple, see vae.GruWeights
 
 
 class CheckpointError(RuntimeError):
@@ -90,15 +90,3 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     return params, config
 
-
-def stored_vocab_hash(path) -> str:
-    """Read just the vocabulary hash from a checkpoint header."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12 or head[:4] != MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-        (header_len,) = struct.unpack("<I", head[8:12])
-        header_bytes = fh.read(header_len)
-    if len(header_bytes) != header_len:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    return json.loads(header_bytes.decode("utf-8"))["vocab_hash"]

@@ -9,6 +9,7 @@ checkpoint/vocabulary mismatch, 5 for missing scores, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import sys
@@ -28,7 +29,7 @@ from .corpus import (
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
 from .rules import Ruleset, apply_ruleset, ruleset_from_config
 from .threshold import partition
-from .vae import TrainingError, VaeConfig, reconstruction_loss, train
+from .vae import TrainingError, reconstruction_loss, train
 from .vocab import Vocabulary, build_vocab, tokenize
 
 EXIT_IO = 2
@@ -184,17 +185,8 @@ def run_train(cfg: PipelineConfig, bootstrap_path, checkpoint_path, vocab_path, 
     if not sequences:
         raise TrainingError("training corpus is empty")
 
-    vae_cfg = VaeConfig(
-        vocab_size=vocab.size,
-        embed_dim=cfg.vae.embed_dim,
-        hidden_dim=cfg.vae.hidden_dim,
-        latent_dim=cfg.vae.latent_dim,
-        max_len=cfg.tokenizer.max_len,
-        epochs=cfg.vae.epochs,
-        batch_size=cfg.vae.batch_size,
-        learning_rate=cfg.vae.learning_rate,
-        kl_anneal_steps=cfg.vae.kl_anneal_steps,
-        seed=cfg.seed,
+    vae_cfg = dataclasses.replace(
+        cfg.vae, vocab_size=vocab.size, max_len=cfg.tokenizer.max_len, seed=cfg.seed
     )
     _diag(quiet, f"train: {len(sequences)} sequences, vocabulary size {vocab.size}")
 
@@ -288,7 +280,6 @@ def run_partition(
         [(r.id, r.score) for r in records],
         strategy=cfg.threshold.strategy,
         p=cfg.threshold.p,
-        seed=cfg.seed,
         max_iter=cfg.threshold.max_iter,
         tol=cfg.threshold.tol,
     )

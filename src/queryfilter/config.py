@@ -9,7 +9,7 @@ flags override file values.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .rules import DEFAULT_RULE_ORDER, Ruleset, ruleset_from_config
 from .vae import VaeConfig
@@ -47,27 +47,48 @@ class ThresholdConfig:
 
 
 @dataclass
+class RulesetConfig:
+    order: tuple[str, ...] = DEFAULT_RULE_ORDER
+    disabled: tuple[str, ...] = ()
+
+
+@dataclass
 class PipelineConfig:
     seed: int = 0
     paths: PathsConfig = field(default_factory=PathsConfig)
-    rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER
-    rules_disabled: tuple[str, ...] = ()
+    ruleset: RulesetConfig = field(default_factory=RulesetConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     vae: VaeConfig = field(default_factory=lambda: VaeConfig(vocab_size=10_000))
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
 
     def build_ruleset(self, extra_disabled: tuple[str, ...] = ()) -> Ruleset:
         return ruleset_from_config(
-            self.rule_order, set(self.rules_disabled) | set(extra_disabled)
+            self.ruleset.order, set(self.ruleset.disabled) | set(extra_disabled)
         )
 
 
-def _csv(raw: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in raw.split(",") if item.strip())
+# INI section -> (PipelineConfig field it fills, "" for the top level; keys
+# the file may not set).  vocab_size is decided by the built vocabulary,
+# max_len by [tokenizer], and the seed propagates from [pipeline].
+_SECTIONS = {
+    "pipeline": ("", ()),
+    "paths": ("paths", ()),
+    "ruleset": ("ruleset", ()),
+    "tokenizer": ("tokenizer", ()),
+    "vae": ("vae", ("vocab_size", "seed", "max_len")),
+    "threshold": ("threshold", ()),
+}
+
+
+def _cast(current, raw: str):
+    """Parse ``raw`` as the type of the field's current value."""
+    if isinstance(current, tuple):
+        return tuple(item.strip() for item in raw.split(",") if item.strip())
+    return type(current)(raw)
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse an INI pipeline configuration; unknown keys are rejected."""
+    """Parse an INI pipeline configuration; unknown sections and keys are rejected."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
@@ -75,65 +96,24 @@ def load_config(path) -> PipelineConfig:
         parser.read_file(fh)
 
     cfg = PipelineConfig()
-
-    def take(section: str, name: str, cast, current):
-        if parser.has_option(section, name):
-            return cast(parser.get(section, name))
-        return current
-
-    known = {
-        "pipeline": {"seed"},
-        "paths": set(PathsConfig.__dataclass_fields__),
-        "ruleset": {"order", "disabled"},
-        "tokenizer": set(TokenizerConfig.__dataclass_fields__),
-        "vae": set(VaeConfig.__dataclass_fields__) - {"vocab_size", "seed", "max_len"},
-        "threshold": set(ThresholdConfig.__dataclass_fields__),
-    }
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        unknown = set(parser.options(section)) - known[section]
+        attr, excluded = _SECTIONS[section]
+        target = getattr(cfg, attr) if attr else cfg
+        known = {
+            f.name for f in fields(target)
+            if f.name not in excluded and not is_dataclass(getattr(target, f.name))
+        }
+        unknown = set(parser.options(section)) - known
         if unknown:
             raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-    cfg.seed = take("pipeline", "seed", int, cfg.seed)
-
-    paths = {
-        name: take("paths", name, str, getattr(cfg.paths, name))
-        for name in PathsConfig.__dataclass_fields__
-    }
-    cfg.paths = PathsConfig(**paths)
-
-    cfg.rule_order = take("ruleset", "order", _csv, cfg.rule_order)
-    cfg.rules_disabled = take("ruleset", "disabled", _csv, cfg.rules_disabled)
-
-    cfg.tokenizer = TokenizerConfig(
-        max_size=take("tokenizer", "max_size", int, cfg.tokenizer.max_size),
-        min_count=take("tokenizer", "min_count", int, cfg.tokenizer.min_count),
-        max_len=take("tokenizer", "max_len", int, cfg.tokenizer.max_len),
-    )
-
-    # vocab_size is decided by the built vocabulary, max_len by the tokenizer
-    # section, and the seed propagates from [pipeline].
-    cfg.vae = VaeConfig(
-        vocab_size=cfg.vae.vocab_size,
-        embed_dim=take("vae", "embed_dim", int, cfg.vae.embed_dim),
-        hidden_dim=take("vae", "hidden_dim", int, cfg.vae.hidden_dim),
-        latent_dim=take("vae", "latent_dim", int, cfg.vae.latent_dim),
-        max_len=cfg.tokenizer.max_len,
-        epochs=take("vae", "epochs", int, cfg.vae.epochs),
-        batch_size=take("vae", "batch_size", int, cfg.vae.batch_size),
-        learning_rate=take("vae", "learning_rate", float, cfg.vae.learning_rate),
-        kl_anneal_steps=take("vae", "kl_anneal_steps", int, cfg.vae.kl_anneal_steps),
-        seed=cfg.seed,
-    )
-
-    cfg.threshold = ThresholdConfig(
-        strategy=take("threshold", "strategy", str, cfg.threshold.strategy),
-        p=take("threshold", "p", float, cfg.threshold.p),
-        max_iter=take("threshold", "max_iter", int, cfg.threshold.max_iter),
-        tol=take("threshold", "tol", float, cfg.threshold.tol),
-    )
+        values = {
+            key: _cast(getattr(target, key), raw) for key, raw in parser.items(section)
+        }
+        target = replace(target, **values)
+        cfg = replace(cfg, **{attr: target}) if attr else target
+    cfg.vae = replace(cfg.vae, max_len=cfg.tokenizer.max_len, seed=cfg.seed)
     return cfg
 
 

@@ -9,6 +9,7 @@ inside larger pipelines without destroying upstream metadata.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -102,8 +103,12 @@ def _record_from_obj(obj: dict, line_no: int) -> Record:
         provenance = [ProvenanceEntry.from_dict(p) for p in raw_prov]
     score = obj.get("score")
     if score is not None:
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or score < 0:
-            raise CorpusError('field "score" must be a non-negative number', line_no)
+        if (
+            not isinstance(score, (int, float))
+            or isinstance(score, bool)
+            or not 0 <= score < math.inf
+        ):
+            raise CorpusError('field "score" must be a finite non-negative number', line_no)
         score = float(score)
     extra = {
         k: v

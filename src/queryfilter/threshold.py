@@ -98,7 +98,6 @@ def fit_em_gmm(
     losses: Sequence[float],
     max_iter: int = 200,
     tol: float = 1e-8,
-    seed: int | None = None,
 ) -> GmmFit:
     """Fit the two-component mixture by EM.
 
@@ -106,7 +105,7 @@ def fit_em_gmm(
     both standard deviations at the overall standard deviation, and the
     mixture weight at 0.5.  Iteration stops when the log-likelihood gain
     falls below ``tol`` or after ``max_iter`` rounds.  The fit is
-    deterministic; ``seed`` is accepted for interface symmetry only.
+    deterministic.
     """
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 10:
@@ -189,7 +188,6 @@ def partition(
     scored: Sequence[tuple],
     strategy: str = "gmm",
     p: float | None = None,
-    seed: int | None = None,
     max_iter: int = 200,
     tol: float = 1e-8,
 ) -> PartitionResult:
@@ -205,10 +203,12 @@ def partition(
         raise ValueError("nothing to partition")
     ids = [item[0] for item in scored]
     losses = np.asarray([float(item[1]) for item in scored])
+    if not np.isfinite(losses).all():
+        raise ValueError("scores must be finite")
 
     report: dict = {"strategy": strategy, "n_input": len(ids)}
     if strategy == "gmm":
-        fit = fit_em_gmm(losses, max_iter=max_iter, tol=tol, seed=seed)
+        fit = fit_em_gmm(losses, max_iter=max_iter, tol=tol)
         keep_mask = losses <= fit.threshold
         report.update(
             threshold=fit.threshold,

@@ -60,17 +60,15 @@ class VaeConfig:
 
 @dataclass
 class GruWeights:
-    """One GRU cell: update/reset gates and candidate state, with biases."""
+    """One GRU cell with its three gates stacked row-wise.
 
-    w_update: np.ndarray
-    u_update: np.ndarray
-    b_update: np.ndarray
-    w_reset: np.ndarray
-    u_reset: np.ndarray
-    b_reset: np.ndarray
-    w_cand: np.ndarray
-    u_cand: np.ndarray
-    b_cand: np.ndarray
+    Rows ``[0, H)`` are the update gate, ``[H, 2H)`` the reset gate and
+    ``[2H, 3H)`` the candidate state.
+    """
+
+    w: np.ndarray  # (3*hidden, in): input weights
+    u: np.ndarray  # (3*hidden, hidden): recurrent weights
+    b: np.ndarray  # (3*hidden,)
 
 
 @dataclass
@@ -139,12 +137,10 @@ def init_params(config: VaeConfig) -> VaeParams:
         return rng.uniform(-0.08, 0.08, size=shape)
 
     def gru(in_dim: int) -> GruWeights:
+        # Drawn gate by gate (update, reset, candidate), each as w, u, b.
         h = config.hidden_dim
-        return GruWeights(
-            w_update=u(h, in_dim), u_update=u(h, h), b_update=u(h),
-            w_reset=u(h, in_dim), u_reset=u(h, h), b_reset=u(h),
-            w_cand=u(h, in_dim), u_cand=u(h, h), b_cand=u(h),
-        )
+        gates = [(u(h, in_dim), u(h, h), u(h)) for _ in range(3)]
+        return GruWeights(*(np.concatenate(parts) for parts in zip(*gates)))
 
     return VaeParams(
         embedding=u(config.vocab_size, config.embed_dim),
@@ -161,26 +157,12 @@ def init_params(config: VaeConfig) -> VaeParams:
 
 
 def zeros_like_params(params: VaeParams) -> VaeParams:
-    def zgru(w: GruWeights) -> GruWeights:
-        return GruWeights(*(np.zeros_like(getattr(w, f.name)) for f in fields(w)))
+    def zeros(value):
+        if isinstance(value, np.ndarray):
+            return np.zeros_like(value)
+        return type(value)(*(zeros(getattr(value, f.name)) for f in fields(value)))
 
-    return VaeParams(
-        embedding=np.zeros_like(params.embedding),
-        enc_fwd=zgru(params.enc_fwd),
-        enc_bwd=zgru(params.enc_bwd),
-        latent_w=np.zeros_like(params.latent_w),
-        latent_b=np.zeros_like(params.latent_b),
-        dec_init_w=np.zeros_like(params.dec_init_w),
-        dec_init_b=np.zeros_like(params.dec_init_b),
-        dec=zgru(params.dec),
-        out_w=np.zeros_like(params.out_w),
-        out_b=np.zeros_like(params.out_b),
-    )
-
-
-def _zero_params(params: VaeParams) -> None:
-    for _, tensor in named_tensors(params):
-        tensor.fill(0.0)
+    return zeros(params)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -200,9 +182,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 # A cell cache is (x, h_prev, update, reset, cand); the new state is
 # update * h_prev + (1 - update) * cand.
 def _gru_step(w: GruWeights, x: np.ndarray, h_prev: np.ndarray):
-    update = _sigmoid(w.w_update @ x + w.u_update @ h_prev + w.b_update)
-    reset = _sigmoid(w.w_reset @ x + w.u_reset @ h_prev + w.b_reset)
-    cand = np.tanh(w.w_cand @ x + w.u_cand @ (reset * h_prev) + w.b_cand)
+    n = 2 * h_prev.shape[0]
+    a = w.w @ x
+    gates = _sigmoid(a[:n] + w.u[:n] @ h_prev + w.b[:n])
+    update, reset = np.split(gates, 2)
+    cand = np.tanh(a[n:] + w.u[n:] @ (reset * h_prev) + w.b[n:])
     h = update * h_prev + (1.0 - update) * cand
     return h, (x, h_prev, update, reset, cand)
 
@@ -210,32 +194,20 @@ def _gru_step(w: GruWeights, x: np.ndarray, h_prev: np.ndarray):
 def _gru_step_backward(w: GruWeights, g: GruWeights, cache, dh: np.ndarray):
     """Accumulate gradients for one cell into ``g``; return (dx, dh_prev)."""
     x, h_prev, update, reset, cand = cache
-    d_update = dh * (h_prev - cand)
-    d_cand = dh * (1.0 - update)
-    dh_prev = dh * update
+    hidden = dh.shape[0]
+    n = 2 * hidden
+    da = np.empty(3 * hidden)  # gradient of the pre-activations, stacked like w
+    da[n:] = dh * (1.0 - update) * (1.0 - cand * cand)
+    d_rh = w.u[n:].T @ da[n:]
+    da[:hidden] = dh * (h_prev - cand) * update * (1.0 - update)
+    da[hidden:n] = d_rh * h_prev * reset * (1.0 - reset)
 
-    da_cand = d_cand * (1.0 - cand * cand)
-    g.w_cand += np.outer(da_cand, x)
-    g.u_cand += np.outer(da_cand, reset * h_prev)
-    g.b_cand += da_cand
-    dx = w.w_cand.T @ da_cand
-    d_rh = w.u_cand.T @ da_cand
-    d_reset = d_rh * h_prev
-    dh_prev = dh_prev + d_rh * reset
-
-    da_update = d_update * update * (1.0 - update)
-    g.w_update += np.outer(da_update, x)
-    g.u_update += np.outer(da_update, h_prev)
-    g.b_update += da_update
-    dx += w.w_update.T @ da_update
-    dh_prev += w.u_update.T @ da_update
-
-    da_reset = d_reset * reset * (1.0 - reset)
-    g.w_reset += np.outer(da_reset, x)
-    g.u_reset += np.outer(da_reset, h_prev)
-    g.b_reset += da_reset
-    dx += w.w_reset.T @ da_reset
-    dh_prev += w.u_reset.T @ da_reset
+    g.w += np.outer(da, x)
+    g.u[:n] += np.outer(da[:n], h_prev)
+    g.u[n:] += np.outer(da[n:], reset * h_prev)
+    g.b += da
+    dx = w.w.T @ da
+    dh_prev = dh * update + d_rh * reset + w.u[:n].T @ da[:n]
     return dx, dh_prev
 
 
@@ -499,7 +471,8 @@ def train(
         for lo in range(0, len(arrays), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             beta = kl_weight(step, config.kl_anneal_steps)
-            _zero_params(grads)
+            for _, tensor in named_tensors(grads):
+                tensor.fill(0.0)
             for idx in batch:
                 noise = rng.standard_normal(config.latent_dim)
                 breakdown, _ = loss_and_grads(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: stages, exit codes, file contracts."""
 
 import json
+import struct
 
 import pytest
 
@@ -243,6 +244,14 @@ class TestScoreCommand:
         )
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
 
+    def test_version_1_checkpoint_exits_4(self, trained_pipeline, capsys):
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
     def test_empty_comment_scores_finite_and_is_flagged(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
         write_pairs(tmp_path / "edge.jsonl", [("e1", ""), ("e2", "read the csv records")])
@@ -266,6 +275,16 @@ class TestPartitionCommand:
         tmp_path, cfg = trained_pipeline
         assert main(["partition", "--config", str(cfg), "--quiet",
                      "--input", str(tmp_path / "rule_retained.jsonl")]) == 5
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_score_exits_2(self, tmp_path, literal):
+        lines = [json.dumps({"id": f"r{i}", "comment": "c", "code": "x", "score": 1.0 + i})
+                 for i in range(20)]
+        lines.append(f'{{"id": "bad", "comment": "c", "code": "x", "score": {literal}}}')
+        (tmp_path / "scored.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
+        assert not (tmp_path / "retained.jsonl").exists()
 
     def test_percentile_partition_and_report(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline

@@ -68,6 +68,14 @@ class TestReadJsonl:
         with pytest.raises(CorpusError, match='"id"'):
             list(read_jsonl(f))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "-1"])
+    def test_bad_score_rejected(self, tmp_path, literal):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y","score":0.5}',
+                         f'{{"id":"b","comment":"x","code":"y","score":{literal}}}'])
+        with pytest.raises(CorpusError, match='line 2.*"score"'):
+            list(read_jsonl(f))
+
     def test_unknown_fields_preserved(self, tmp_path):
         f = tmp_path / "in.jsonl"
         _write_lines(f, ['{"id":"a","comment":"x","code":"y","repo":"r","stars":3}'])

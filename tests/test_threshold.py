@@ -174,6 +174,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition([], strategy="gmm")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("strategy", ["gmm", "percentile", "kmeans2"])
+    def test_non_finite_loss_rejected(self, strategy, bad):
+        scored = [(f"r{i}", 1.0 + i) for i in range(20)] + [("bad", bad)]
+        with pytest.raises(ValueError, match="finite"):
+            partition(scored, strategy=strategy, p=0.5)
+
     def test_contiguous_split_invariant(self):
         rng = np.random.default_rng(12)
         losses = np.concatenate([rng.normal(1, 0.4, 60), rng.normal(5, 0.6, 40)])

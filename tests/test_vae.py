@@ -1,6 +1,7 @@
 """VAE forward semantics, training contracts, and checkpoint round-trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from queryfilter.checkpoint import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
-    stored_vocab_hash,
 )
 from queryfilter.vae import (
     TrainingError,
@@ -38,11 +38,7 @@ def tiny_config(**overrides) -> VaeConfig:
 
 
 def _tie_encoder_directions(params: VaeParams) -> None:
-    for name in (
-        "w_update", "u_update", "b_update",
-        "w_reset", "u_reset", "b_reset",
-        "w_cand", "u_cand", "b_cand",
-    ):
+    for name in ("w", "u", "b"):
         getattr(params.enc_bwd, name)[...] = getattr(params.enc_fwd, name)
 
 
@@ -65,8 +61,9 @@ class TestEncoder:
         w = params.enc_fwd
         step = []
         for j in range(2):
-            a_u = w.w_update[j, 0] * x[0] + w.w_update[j, 1] * x[1] + w.b_update[j]
-            a_c = w.w_cand[j, 0] * x[0] + w.w_cand[j, 1] * x[1] + w.b_cand[j]
+            c_row = 4 + j  # candidate rows follow the update and reset rows
+            a_u = w.w[j, 0] * x[0] + w.w[j, 1] * x[1] + w.b[j]
+            a_c = w.w[c_row, 0] * x[0] + w.w[c_row, 1] * x[1] + w.b[c_row]
             u = 1.0 / (1.0 + math.exp(-a_u))
             c = math.tanh(a_c)
             step.append((1.0 - u) * c)  # h_prev is zero
@@ -288,7 +285,6 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         for (name, a), (_, b) in zip(named_tensors(params), named_tensors(loaded)):
             assert np.array_equal(a, b), name
-        assert stored_vocab_hash(path) == "hash-of-vocab"
 
     def test_truncated_file_rejected(self, tmp_path):
         _, _, path = self._roundtrip_setup(tmp_path)
@@ -302,6 +298,13 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(b"XXXX" + blob[4:])
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     def test_vocab_hash_mismatch(self, tmp_path):
