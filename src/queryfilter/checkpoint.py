@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .atomic import atomic_open
 from .vae import VaeConfig, VaeParams, init_params, named_tensors
 
 MAGIC = b"QDVA"
@@ -33,7 +34,7 @@ def save_checkpoint(params: VaeParams, config: VaeConfig, vocab_hash: str, path)
         "tensors": [[name, list(t.shape)] for name, t in tensors],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import sys
 
+from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import PipelineConfig, load_config, with_seed
 from .corpus import (
@@ -48,7 +49,7 @@ def _diag(quiet: bool, message: str) -> None:
 
 
 def _write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
@@ -160,7 +161,7 @@ def run_bootstrap(cfg: PipelineConfig, titles_path, output_path, quiet=False) ->
     stats = BootstrapStats()
     with open(titles_path, "r", encoding="utf-8") as fh:
         titles = (line.rstrip("\n") for line in fh)
-        with open(output_path, "w", encoding="utf-8") as out:
+        with atomic_open(output_path) as out:
             for query in prepare_bootstrap(titles, ruleset, stats):
                 out.write(query + "\n")
     _diag(

@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .atomic import atomic_open
+
 REQUIRED_FIELDS = ("id", "comment", "code")
 
 _WS_RE = re.compile(r"\s+")
@@ -151,9 +153,9 @@ def read_jsonl(path) -> Iterator[Record]:
 
 
 def write_jsonl(records: Iterable[Record], path) -> int:
-    """Write records as UTF-8 JSONL, one object per line. Returns the count."""
+    """Write records as UTF-8 JSONL, one object per line, atomically. Returns the count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record.to_json_obj(), ensure_ascii=False))
             fh.write("\n")

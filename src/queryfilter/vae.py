@@ -7,6 +7,12 @@ sampled latent vector with teacher forcing.  Training minimizes per-token
 cross-entropy plus a linearly annealed KL term; scoring is the deterministic
 per-token cross-entropy with the latent fixed at its mean.
 
+Every function works on a padded batch: a ``(B, T)`` id matrix whose row b
+holds a sequence in its first ``lengths[b]`` columns (see :func:`pad_batch`).
+Each GRU projects the inputs of all its steps with one GEMM before the time
+loop and carries a row's state unchanged past that row's end.  A batch of one
+is the special case: :func:`reconstruction_loss` scores each record that way.
+
 All gradients are computed analytically by backpropagation through time and
 are validated against central finite differences in the test suite.
 """
@@ -20,7 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vocab import BOS, EOS
+from .vocab import BOS, EOS, PAD
+
+# Training feeds each optimizer batch to loss_and_grads in sub-batches of at
+# most this many (time step x hidden unit) activations per GRU.
+_ACTIVATION_CAP = 8 * 16 * 256
 
 
 class TrainingError(RuntimeError):
@@ -165,13 +175,43 @@ def zeros_like_params(params: VaeParams) -> VaeParams:
     return zeros(params)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack id sequences into a PAD-filled ``(B, T)`` matrix plus their lengths."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise ValueError("id sequence must be non-empty")
+    ids = np.full((len(sequences), lengths.max()), PAD, dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        row[: len(seq)] = seq
+    return ids, lengths
+
+
+def _check_batch(params: VaeParams, ids, lengths) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.asarray(ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if ids.ndim != 2 or lengths.shape != ids.shape[:1]:
+        raise ValueError("ids must be a (batch, time) matrix with one length per row")
+    if ids.size == 0 or lengths.min() < 1 or lengths.max() > ids.shape[1]:
+        raise ValueError("id sequence must be non-empty and fit its row")
+    if ids.min() < 0 or ids.max() >= params.vocab_size:
+        raise ValueError(
+            f"token id out of range for vocabulary of size {params.vocab_size}"
+        )
+    return ids, lengths
+
+
+def _targets(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The predicted ids ``ids[b, 1:lengths[b]]`` of every row, in batch order."""
+    return ids[:, 1:][np.arange(ids.shape[1] - 1) < (lengths - 1)[:, None]]
+
+
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Logistic function in place, as 0.5 * tanh(x / 2) + 0.5 (cannot overflow)."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -179,221 +219,242 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-# A cell cache is (x, h_prev, update, reset, cand); the new state is
-# update * h_prev + (1 - update) * cand.
-def _gru_step(w: GruWeights, x: np.ndarray, h_prev: np.ndarray):
-    n = 2 * h_prev.shape[0]
-    a = w.w @ x
-    gates = _sigmoid(a[:n] + w.u[:n] @ h_prev + w.b[:n])
-    update, reset = np.split(gates, 2)
-    cand = np.tanh(a[n:] + w.u[n:] @ (reset * h_prev) + w.b[n:])
-    h = update * h_prev + (1.0 - update) * cand
-    return h, (x, h_prev, update, reset, cand)
+# A GRU cache is (x, pad, states, gates, cand), all time-major.  states[t] is
+# the state entering step t (states[0] is the initial state), gates[t] holds
+# the update and reset gates side by side, and the state leaving step t is
+# update * h + (1 - update) * cand, except in rows that pad[t] marks as past
+# their end, which carry h on unchanged.
+def _gru_forward(w: GruWeights, x: np.ndarray, pad: np.ndarray, h0: np.ndarray):
+    """Run one GRU left to right over ``x (T, B, in)``; return (states, cache).
 
-
-def _gru_step_backward(w: GruWeights, g: GruWeights, cache, dh: np.ndarray):
-    """Accumulate gradients for one cell into ``g``; return (dx, dh_prev)."""
-    x, h_prev, update, reset, cand = cache
-    hidden = dh.shape[0]
-    n = 2 * hidden
-    da = np.empty(3 * hidden)  # gradient of the pre-activations, stacked like w
-    da[n:] = dh * (1.0 - update) * (1.0 - cand * cand)
-    d_rh = w.u[n:].T @ da[n:]
-    da[:hidden] = dh * (h_prev - cand) * update * (1.0 - update)
-    da[hidden:n] = d_rh * h_prev * reset * (1.0 - reset)
-
-    g.w += np.outer(da, x)
-    g.u[:n] += np.outer(da[:n], h_prev)
-    g.u[n:] += np.outer(da[n:], reset * h_prev)
-    g.b += da
-    dx = w.w.T @ da
-    dh_prev = dh * update + d_rh * reset + w.u[:n].T @ da[:n]
-    return dx, dh_prev
-
-
-def _check_ids(params: VaeParams, ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("id sequence must be non-empty")
-    if ids.min() < 0 or ids.max() >= params.vocab_size:
-        raise ValueError(
-            f"token id out of range for vocabulary of size {params.vocab_size}"
-        )
-    return ids
-
-
-def encoder_forward(params: VaeParams, ids: Sequence[int]):
-    """Run both GRU directions from zero states; return (h, cache).
-
-    ``h`` is the elementwise sum of the final states of the left-to-right
-    pass and the right-to-left pass.
+    The input projection of every step is one GEMM before the time loop.
     """
-    ids = _check_ids(params, ids)
-    X = params.embedding[ids]
-    n = len(ids)
-    hidden = params.hidden_dim
+    x = np.ascontiguousarray(x)
+    steps, batch, _ = x.shape
+    hidden = h0.shape[1]
+    n = 2 * hidden
+    a = (x.reshape(steps * batch, -1) @ w.w.T).reshape(steps, batch, 3 * hidden)
+    a += w.b
+    states = np.empty((steps + 1, batch, hidden))
+    states[0] = h0
+    gates = np.empty((steps, batch, n))
+    cand = np.empty((steps, batch, hidden))
+    u_gates, u_cand = w.u[:n].T, w.u[n:].T
+    for t in range(steps):
+        h, g, c, h_new = states[t], gates[t], cand[t], states[t + 1]
+        np.matmul(h, u_gates, out=g)
+        g += a[t, :, :n]
+        _sigmoid_(g)
+        np.matmul(g[:, hidden:] * h, u_cand, out=c)
+        c += a[t, :, n:]
+        np.tanh(c, out=c)
+        np.subtract(h, c, out=h_new)
+        h_new *= g[:, :hidden]
+        h_new += c
+        np.copyto(h_new, h, where=pad[t])
+    return states, (x, pad, states, gates, cand)
 
-    h = np.zeros(hidden)
-    fwd_caches = []
-    for t in range(n):
-        h, cache = _gru_step(params.enc_fwd, X[t], h)
-        fwd_caches.append(cache)
-    h_fwd = h
 
-    h = np.zeros(hidden)
-    bwd_caches = []  # kept in processing order: positions n-1 .. 0
-    for t in range(n - 1, -1, -1):
-        h, cache = _gru_step(params.enc_bwd, X[t], h)
-        bwd_caches.append((t, cache))
-    h_bwd = h
+def _gru_backward(w: GruWeights, g: GruWeights, cache, dh: np.ndarray, d_states=None):
+    """Backpropagate through one GRU run, accumulating its gradients into ``g``.
 
-    return h_fwd + h_bwd, (ids, fwd_caches, bwd_caches)
+    ``dh`` is the gradient of the final state and ``d_states[t]``, when given,
+    that of the state leaving step t.  Each step stores its pre-activation
+    gradient ``da`` (stacked like ``w``); the weight gradients are single
+    GEMMs after the loop.  Returns (dx (T, B, in), gradient of the initial state).
+    """
+    x, pad, states, gates, cand = cache
+    steps, batch, hidden = cand.shape
+    n = 2 * hidden
+    da = np.empty((steps, batch, 3 * hidden))
+    u_gates, u_cand = w.u[:n], w.u[n:]
+    for t in range(steps - 1, -1, -1):
+        if d_states is not None:
+            dh = dh + d_states[t]
+        h, c = states[t], cand[t]
+        update, reset = gates[t, :, :hidden], gates[t, :, hidden:]
+        d_cand = dh * (1.0 - update) * (1.0 - c * c)
+        d_rh = d_cand @ u_cand
+        da[t, :, n:] = d_cand
+        da[t, :, :hidden] = dh * (h - c) * update * (1.0 - update)
+        da[t, :, hidden:n] = d_rh * h * reset * (1.0 - reset)
+        np.copyto(da[t], 0.0, where=pad[t])
+        dh_prev = dh * update + d_rh * reset + da[t, :, :n] @ u_gates
+        dh = np.where(pad[t], dh, dh_prev)
+
+    flat = da.reshape(steps * batch, 3 * hidden)
+    h_prev = states[:-1].reshape(steps * batch, hidden)
+    g.w += flat.T @ x.reshape(steps * batch, -1)
+    g.u[:n] += flat[:, :n].T @ h_prev
+    g.u[n:] += flat[:, n:].T @ (gates[:, :, hidden:].reshape(steps * batch, hidden) * h_prev)
+    g.b += flat.sum(axis=0)
+    return (flat @ w.w).reshape(x.shape), dh
+
+
+def encoder_forward(params: VaeParams, ids, lengths):
+    """Run both GRU directions from zero states over a padded batch; return (h, cache).
+
+    ``h (B, H)`` is, per row, the sum of the final state of the left-to-right
+    pass and that of the right-to-left pass over the row's first
+    ``lengths[b]`` ids.
+    """
+    ids, lengths = _check_batch(params, ids, lengths)
+    x = params.embedding[ids.T]  # (T, B, E)
+    pad = (np.arange(ids.shape[1])[:, None] >= lengths)[:, :, None]
+    h0 = np.zeros((len(lengths), params.hidden_dim))
+    fwd_states, fwd = _gru_forward(params.enc_fwd, x, pad, h0)
+    # Right to left is left to right over the reversed time axis; a row's
+    # padding then comes first and leaves its zero state untouched.
+    bwd_states, bwd = _gru_forward(params.enc_bwd, x[::-1], pad[::-1], h0)
+    return fwd_states[-1] + bwd_states[-1], (pad, fwd, bwd)
 
 
 def latent(params: VaeParams, h: np.ndarray, noise: np.ndarray):
-    """Project ``h`` to (mean, log-variance) and reparameterize with ``noise``.
+    """Project ``h (B, H)`` to (mean, log-variance) and reparameterize with ``noise (B, k)``.
 
     Returns (mu, logvar, z) with z = mu + noise * exp(logvar / 2); passing
     zero noise makes the latent deterministic at the posterior mean.
     """
-    a = params.latent_w @ h + params.latent_b
+    a = h @ params.latent_w.T + params.latent_b
     k = params.latent_dim
-    mu, logvar = a[:k], a[k:]
+    mu, logvar = a[:, :k], a[:, k:]
     z = mu + np.asarray(noise) * np.exp(0.5 * logvar)
     return mu, logvar, z
 
 
-def decoder_forward(params: VaeParams, z: np.ndarray, targets: Sequence[int]):
-    """Teacher-forced decoding; returns (logits, cache).
+def decoder_forward(params: VaeParams, z: np.ndarray, ids, lengths):
+    """Teacher-forced decoding of a padded batch; returns (logits, cache).
 
-    The initial hidden state is an affine map of ``z``.  Step i consumes the
-    embedding of ``targets[i]`` (step 0 consumes BOS) and emits logits for
-    ``targets[i + 1]``, so ``logits`` has ``len(targets) - 1`` rows.
+    Row b's initial hidden state is an affine map of ``z[b]``.  Step i
+    consumes the embedding of ``ids[b, i]`` (step 0 consumes BOS) and emits
+    logits for ``ids[b, i + 1]``.  ``logits`` has one row per predicted
+    token, ``lengths[b] - 1`` rows for row b, in batch order.
     """
-    targets = _check_ids(params, targets)
-    if targets[0] != BOS or targets[-1] != EOS:
+    ids, lengths = _check_batch(params, ids, lengths)
+    last = ids[np.arange(len(lengths)), lengths - 1]
+    if np.any(ids[:, 0] != BOS) or np.any(last != EOS):
         raise ValueError("decoder targets must start with BOS and end with EOS")
-    s = params.dec_init_w @ z + params.dec_init_b
-    states, caches = [], []
-    logits = np.empty((len(targets) - 1, params.vocab_size))
-    for i in range(len(targets) - 1):
-        s, cache = _gru_step(params.dec, params.embedding[targets[i]], s)
-        states.append(s)
-        caches.append(cache)
-        logits[i] = params.out_w @ s + params.out_b
-    return logits, (targets, states, caches)
+    pad = (np.arange(ids.shape[1] - 1)[:, None] >= lengths - 1)[:, :, None]
+    s0 = z @ params.dec_init_w.T + params.dec_init_b
+    states, cache = _gru_forward(params.dec, params.embedding[ids[:, :-1].T], pad, s0)
+    out = states[1:].transpose(1, 0, 2)[~pad[:, :, 0].T]  # (predicted tokens, H)
+    logits = out @ params.out_w.T + params.out_b
+    return logits, (pad, out, cache)
 
 
 def elbo_loss(
     logits: np.ndarray,
-    targets: Sequence[int],
+    ids,
+    lengths,
     mu: np.ndarray,
     logvar: np.ndarray,
     beta: float = 1.0,
 ) -> LossBreakdown:
-    """Mean per-token cross-entropy plus the (annealed) Gaussian KL term."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n_pred = logits.shape[0]
-    log_probs = _log_softmax(logits)
-    ce = float(-np.mean(log_probs[np.arange(n_pred), targets[1:]]))
+    """Per-sequence mean cross-entropy plus the (annealed) KL term, summed over the batch.
+
+    ``logits`` rows follow :func:`decoder_forward`.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    n_pred = np.asarray(lengths, dtype=np.int64) - 1
+    targets = _targets(ids, n_pred + 1)
+    nll = -_log_softmax(logits)[np.arange(len(targets)), targets]
+    ce = float(np.sum(np.add.reduceat(nll, np.cumsum(n_pred) - n_pred) / n_pred))
     kl = float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
     return LossBreakdown(ce=ce, kl=kl, total=ce + beta * kl)
 
 
 def loss_and_grads(
     params: VaeParams,
-    ids: Sequence[int],
+    ids,
+    lengths,
     noise: np.ndarray,
     beta: float = 1.0,
     grads: VaeParams | None = None,
 ):
-    """Forward pass plus full backpropagation for one sequence.
+    """Forward pass plus full backpropagation for a padded batch.
 
-    Gradients accumulate into ``grads`` when given (callers batching several
-    sequences reuse one container), otherwise a fresh container is returned.
+    The loss is the sum of the rows' losses, so the gradient is the sum of
+    the rows' gradients.  Gradients accumulate into ``grads`` when given
+    (training reuses one container over sub-batches), otherwise a fresh
+    container is returned.
     """
-    ids = _check_ids(params, ids)
-    h, (_, fwd_caches, bwd_caches) = encoder_forward(params, ids)
+    ids, lengths = _check_batch(params, ids, lengths)
+    h, (enc_pad, fwd_cache, bwd_cache) = encoder_forward(params, ids, lengths)
     mu, logvar, z = latent(params, h, noise)
-    logits, (_, dec_states, dec_caches) = decoder_forward(params, z, ids)
-    breakdown = elbo_loss(logits, ids, mu, logvar, beta)
+    logits, (dec_pad, out, dec_cache) = decoder_forward(params, z, ids, lengths)
+    breakdown = elbo_loss(logits, ids, lengths, mu, logvar, beta)
     g = grads if grads is not None else zeros_like_params(params)
 
-    # Cross-entropy backward: softmax minus one-hot, averaged over positions.
-    n_pred = logits.shape[0]
+    # Cross-entropy backward: softmax minus one-hot, each row averaged over
+    # the predicted positions of its own sequence.
+    n_pred = lengths - 1
     d_logits = np.exp(_log_softmax(logits))
-    d_logits[np.arange(n_pred), ids[1:]] -= 1.0
-    d_logits /= n_pred
+    d_logits[np.arange(len(d_logits)), _targets(ids, lengths)] -= 1.0
+    d_logits /= np.repeat(n_pred, n_pred)[:, None]
+    g.out_w += d_logits.T @ out
+    g.out_b += d_logits.sum(axis=0)
+    d_states = np.zeros(dec_pad.shape[:2] + (params.hidden_dim,))
+    d_states.transpose(1, 0, 2)[~dec_pad[:, :, 0].T] = d_logits @ params.out_w
 
     # Decoder, walked back through time.
-    ds = np.zeros(params.hidden_dim)
-    for i in range(n_pred - 1, -1, -1):
-        g.out_w += np.outer(d_logits[i], dec_states[i])
-        g.out_b += d_logits[i]
-        ds = ds + params.out_w.T @ d_logits[i]
-        dx, ds = _gru_step_backward(params.dec, g.dec, dec_caches[i], ds)
-        g.embedding[ids[i]] += dx
-    g.dec_init_w += np.outer(ds, z)
-    g.dec_init_b += ds
-    dz = params.dec_init_w.T @ ds
+    dx_dec, ds = _gru_backward(params.dec, g.dec, dec_cache, np.zeros_like(h), d_states)
+    g.dec_init_w += ds.T @ z
+    g.dec_init_b += ds.sum(axis=0)
+    dz = ds @ params.dec_init_w
 
     # Latent projection: reparameterization path plus the direct KL path.
     d_mu = dz + beta * mu
     d_logvar = dz * np.asarray(noise) * np.exp(0.5 * logvar) * 0.5
     d_logvar += beta * 0.5 * (np.exp(logvar) - 1.0)
-    d_affine = np.concatenate([d_mu, d_logvar])
-    g.latent_w += np.outer(d_affine, h)
-    g.latent_b += d_affine
-    dh = params.latent_w.T @ d_affine
+    d_affine = np.concatenate([d_mu, d_logvar], axis=1)
+    g.latent_w += d_affine.T @ h
+    g.latent_b += d_affine.sum(axis=0)
+    dh = d_affine @ params.latent_w
 
-    # Both encoder directions receive the summed-state gradient.
-    n = len(ids)
-    dX = np.zeros((n, params.embedding.shape[1]))
-    dcur = dh.copy()
-    for t in range(n - 1, -1, -1):
-        dx, dcur = _gru_step_backward(params.enc_fwd, g.enc_fwd, fwd_caches[t], dcur)
-        dX[t] += dx
-    dcur = dh.copy()
-    for t, cache in reversed(bwd_caches):
-        dx, dcur = _gru_step_backward(params.enc_bwd, g.enc_bwd, cache, dcur)
-        dX[t] += dx
-    for t in range(n):
-        g.embedding[ids[t]] += dX[t]
+    # Both encoder directions receive the summed-state gradient; decoder step
+    # i read the embedding at position i.
+    dx, _ = _gru_backward(params.enc_fwd, g.enc_fwd, fwd_cache, dh)
+    dx_bwd, _ = _gru_backward(params.enc_bwd, g.enc_bwd, bwd_cache, dh)
+    dx += dx_bwd[::-1]
+    dx[:-1] += dx_dec
+    valid = ~enc_pad[:, :, 0]
+    np.add.at(g.embedding, ids.T[valid], dx[valid])
 
     return breakdown, g
 
 
 def total_loss(
-    params: VaeParams, ids: Sequence[int], noise: np.ndarray, beta: float = 1.0
+    params: VaeParams, ids, lengths, noise: np.ndarray, beta: float = 1.0
 ) -> LossBreakdown:
-    """Forward-only loss; the finite-difference oracle in the tests uses this."""
-    ids = _check_ids(params, ids)
-    h, _ = encoder_forward(params, ids)
+    """Forward-only loss of a padded batch, for scoring and the finite-difference oracle."""
+    h, _ = encoder_forward(params, ids, lengths)
     mu, logvar, z = latent(params, h, noise)
-    logits, _ = decoder_forward(params, z, ids)
-    return elbo_loss(logits, ids, mu, logvar, beta)
+    logits, _ = decoder_forward(params, z, ids, lengths)
+    return elbo_loss(logits, ids, lengths, mu, logvar, beta)
 
 
 def reconstruction_loss(params: VaeParams, ids: Sequence[int]) -> float:
-    """Deterministic anomaly score: mean per-token cross-entropy at z = mu.
+    """Deterministic anomaly score of one record: mean per-token cross-entropy at z = mu.
 
-    No sampling and no KL term, so repeated calls are bit-identical.
+    No sampling and no KL term, so repeated calls are bit-identical.  The
+    record is scored as a batch of one: a GEMM row's bits can depend on the
+    number of rows, so batching records together would make a record's
+    score depend on its neighbours.
     """
-    ids = _check_ids(params, ids)
-    h, _ = encoder_forward(params, ids)
-    mu, logvar, z = latent(params, h, np.zeros(params.latent_dim))
-    logits, _ = decoder_forward(params, z, ids)
-    return elbo_loss(logits, ids, mu, logvar).ce
+    ids, lengths = pad_batch([ids])
+    return total_loss(params, ids, lengths, np.zeros((1, params.latent_dim))).ce
 
 
 def greedy_generate(params: VaeParams, z: np.ndarray, max_len: int = 20) -> list[int]:
     """Free-running argmax decoding from a latent vector (qualitative use only)."""
-    s = params.dec_init_w @ z + params.dec_init_b
+    s = (np.asarray(z) @ params.dec_init_w.T + params.dec_init_b)[None]
+    no_pad = np.zeros((1, 1, 1), dtype=bool)
     out: list[int] = []
     token = BOS
     for _ in range(max_len):
-        s, _ = _gru_step(params.dec, params.embedding[token], s)
-        token = int(np.argmax(params.out_w @ s + params.out_b))
+        states, _ = _gru_forward(params.dec, params.embedding[[[token]]], no_pad, s)
+        s = states[-1]
+        token = int(np.argmax(s[0] @ params.out_w.T + params.out_b))
         if token == EOS:
             break
         out.append(token)
@@ -413,19 +474,41 @@ class _Adam:
         self.v = {name: np.zeros_like(p) for name, p in named_tensors(params)}
 
     def update(self, params: VaeParams, grads: VaeParams, scale: float) -> None:
+        """One step in place: for g = grad * scale,
+
+        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g;
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
+
+        evaluated operation by operation in that order with ``out=`` ufuncs
+        into two scratch buffers shared by all tensors.  The buffers live for
+        one step only: kept between steps they would stay resident during
+        the next forward and backward pass and raise peak memory.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         grad_tensors = dict(named_tensors(grads))
+        size = max(p.size for _, p in named_tensors(params))
+        scratch = (np.empty(size), np.empty(size))
         for name, p in named_tensors(params):
-            g = grad_tensors[name] * scale
+            g, tmp = (buf[: p.size].reshape(p.shape) for buf in scratch)
             m = self.m[name]
             v = self.v[name]
+            np.multiply(grad_tensors[name], scale, out=g)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=tmp)
+            m += tmp
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            g /= tmp
+            p -= g
 
 
 def kl_weight(step: int, anneal_steps: int) -> float:
@@ -443,7 +526,10 @@ def train(
     """Train on encoded sequences; returns final parameters and the loss trace.
 
     The corpus is canonicalized by sorting before the seed-driven shuffle, so
-    the result depends on the seed but not on input file ordering.  Raises
+    the result depends on the seed but not on input file ordering.  Each
+    optimizer batch goes through :func:`loss_and_grads` in sub-batches of at
+    most ``_ACTIVATION_CAP`` (time step x hidden unit) activations, so peak
+    memory does not grow with ``batch_size``.  Raises
     :class:`TrainingError` on an empty corpus or a non-finite loss.
     """
     config.validate()
@@ -460,23 +546,27 @@ def train(
     optimizer = _Adam(params, config.learning_rate)
     rng = np.random.default_rng([config.seed, 1])
     grads = zeros_like_params(params)
-    arrays = [np.array(seq, dtype=np.int64) for seq in canonical]
+    padded, lengths = pad_batch(canonical)
+    sub_batch = max(1, _ACTIVATION_CAP // (padded.shape[1] * config.hidden_dim))
 
     trace: list[EpochStats] = []
     step = 0
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        order = rng.permutation(len(arrays))
+        order = rng.permutation(len(padded))
         sum_ce = sum_kl = sum_total = 0.0
-        for lo in range(0, len(arrays), config.batch_size):
+        for lo in range(0, len(padded), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             beta = kl_weight(step, config.kl_anneal_steps)
             for _, tensor in named_tensors(grads):
                 tensor.fill(0.0)
-            for idx in batch:
-                noise = rng.standard_normal(config.latent_dim)
+            noise = rng.standard_normal((len(batch), config.latent_dim))
+            for sub in range(0, len(batch), sub_batch):
+                rows = batch[sub : sub + sub_batch]
+                width = lengths[rows].max()
                 breakdown, _ = loss_and_grads(
-                    params, arrays[idx], noise, beta, grads=grads
+                    params, padded[rows, :width], lengths[rows],
+                    noise[sub : sub + sub_batch], beta, grads=grads,
                 )
                 if not math.isfinite(breakdown.total):
                     raise TrainingError(
@@ -487,7 +577,7 @@ def train(
                 sum_total += breakdown.total
             optimizer.update(params, grads, 1.0 / len(batch))
             step += 1
-        n = len(arrays)
+        n = len(padded)
         stats = EpochStats(
             epoch=epoch,
             mean_ce=sum_ce / n,

@@ -7,6 +7,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .atomic import atomic_open
+
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -66,7 +68,7 @@ class Vocabulary:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(self.serialize())
 
     @classmethod

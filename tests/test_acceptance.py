@@ -35,6 +35,7 @@ from queryfilter.vae import (
     init_params,
     loss_and_grads,
     named_tensors,
+    pad_batch,
     reconstruction_loss,
     total_loss,
     train,
@@ -89,19 +90,17 @@ def test_criterion_2_gradient_oracle():
         for _, tensor in named_tensors(params):
             tensor[...] = point_rng.uniform(-0.5, 0.5, size=tensor.shape)
 
-        noise_rng = np.random.default_rng(3)
-        cases = [
-            (np.array([1, 5, 9, 4, 17, 2]), noise_rng.standard_normal(cfg.latent_dim)),
-            (np.array([1, 7, 12, 2]), noise_rng.standard_normal(cfg.latent_dim)),
-        ]
+        # one padded batch with mixed lengths: a leak through the padding
+        # shows up as a gradient mismatch (e.g. on the PAD embedding row)
+        ids, lengths = pad_batch([[1, 5, 9, 4, 17, 2], [1, 7, 12, 2]])
+        noise = np.random.default_rng(3).standard_normal((2, cfg.latent_dim))
         beta = 1.0
 
         grads = zeros_like_params(params)
-        for ids, noise in cases:
-            loss_and_grads(params, ids, noise, beta, grads=grads)
+        loss_and_grads(params, ids, lengths, noise, beta, grads=grads)
 
         def batch_loss():
-            return sum(total_loss(params, ids, noise, beta).total for ids, noise in cases)
+            return total_loss(params, ids, lengths, noise, beta).total
 
         eps = 1e-5
         grad_of = dict(named_tensors(grads))

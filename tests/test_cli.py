@@ -3,10 +3,14 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from queryfilter.checkpoint import save_checkpoint
 from queryfilter.cli import main
 from queryfilter.corpus import read_jsonl
+from queryfilter.vae import VaeConfig, init_params, named_tensors
+from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary
 
 TABLE_EXAMPLES = [
     ("t1", "<p>parse line</p>"),
@@ -268,6 +272,37 @@ class TestScoreCommand:
         serial = (tmp_path / "scored.jsonl").read_bytes()
         main(["score", "--config", str(cfg), "--quiet", "--jobs", "2"])
         assert (tmp_path / "scored.jsonl").read_bytes() == serial
+
+    def test_record_score_independent_of_file_and_jobs(self, tmp_path):
+        # A GEMM row's bits can depend on how many rows are multiplied, so
+        # each record must be scored on its own, never batched with others.
+        # Weights larger than the training init make such differences show.
+        words = tuple(f"w{i}" for i in range(496))
+        vocab = Vocabulary(SPECIAL_TOKENS + words)
+        vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=32, hidden_dim=64,
+                            latent_dim=8, max_len=20, seed=5)
+        params = init_params(vae_cfg)
+        rng = np.random.default_rng(9)
+        for _, tensor in named_tensors(params):
+            tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
+        vocab.save(tmp_path / "vocab.txt")
+        save_checkpoint(params, vae_cfg, vocab.content_hash(), tmp_path / "model.ckpt")
+        rows = [(f"r{i:02d}", " ".join(rng.choice(words, size=int(rng.integers(1, 19)))))
+                for i in range(64)]
+        cfg = small_config(tmp_path)
+
+        def scores(subset, name, jobs=1):
+            write_pairs(tmp_path / f"{name}.jsonl", subset)
+            assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs),
+                         "--input", str(tmp_path / f"{name}.jsonl"),
+                         "--output", str(tmp_path / f"{name}_scored.jsonl")]) == 0
+            return {r.id: r.score for r in read_jsonl(tmp_path / f"{name}_scored.jsonl")}
+
+        every = scores(rows, "all")
+        assert scores(rows, "all_jobs2", jobs=2) == every
+        assert scores(rows[20:27], "seven") == {rid: every[rid] for rid, _ in rows[20:27]}
+        for rid, comment in rows[20:27]:
+            assert scores([(rid, comment)], f"alone_{rid}") == {rid: every[rid]}
 
 
 class TestPartitionCommand:

@@ -99,6 +99,21 @@ class TestWriteJsonl:
         (back,) = read_jsonl(f)
         assert back.comment == rec.comment
 
+    def test_failure_mid_stream_keeps_previous_file(self, tmp_path):
+        f = tmp_path / "out.jsonl"
+        write_jsonl([Record(id="old", comment="x", code="y")], f)
+        before = f.read_bytes()
+
+        def failing():
+            for i in range(1000):  # enough to flush part of the file
+                yield Record(id=f"r{i}", comment="x" * 100, code="y")
+            raise RuntimeError("stage crashed")
+
+        with pytest.raises(RuntimeError, match="stage crashed"):
+            write_jsonl(failing(), f)
+        assert f.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
 
 _prov_entries = st.builds(
     ProvenanceEntry,

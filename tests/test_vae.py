@@ -15,15 +15,19 @@ from queryfilter.vae import (
     TrainingError,
     VaeConfig,
     VaeParams,
+    _Adam,
     decoder_forward,
     elbo_loss,
     encoder_forward,
     greedy_generate,
     init_params,
     latent,
+    loss_and_grads,
     named_tensors,
+    pad_batch,
     reconstruction_loss,
     train,
+    zeros_like_params,
 )
 from queryfilter.vocab import BOS, EOS
 
@@ -47,7 +51,7 @@ class TestEncoder:
         params = init_params(tiny_config())
         for _, tensor in named_tensors(params):
             tensor.fill(0.0)
-        h, _ = encoder_forward(params, [1, 4, 5, 2])
+        h, _ = encoder_forward(params, *pad_batch([[1, 4, 5, 2]]))
         assert np.array_equal(h, np.zeros_like(h))
 
     def test_single_token_is_twice_one_hand_computed_cell(self):
@@ -67,38 +71,38 @@ class TestEncoder:
             u = 1.0 / (1.0 + math.exp(-a_u))
             c = math.tanh(a_c)
             step.append((1.0 - u) * c)  # h_prev is zero
-        h, _ = encoder_forward(params, [token])
-        assert np.allclose(h, 2.0 * np.array(step), rtol=0, atol=1e-15)
+        h, _ = encoder_forward(params, *pad_batch([[token]]))
+        assert np.allclose(h, 2.0 * np.array([step]), rtol=0, atol=1e-15)
 
     def test_tied_weights_make_h_reversal_invariant(self):
         params = init_params(tiny_config(seed=5))
         _tie_encoder_directions(params)
         ids = [1, 4, 5, 6, 7, 2]
-        h_fwd, _ = encoder_forward(params, ids)
-        h_rev, _ = encoder_forward(params, ids[::-1])
+        h_fwd, _ = encoder_forward(params, *pad_batch([ids]))
+        h_rev, _ = encoder_forward(params, *pad_batch([ids[::-1]]))
         assert np.array_equal(h_fwd, h_rev)
 
     def test_out_of_range_id_rejected(self):
         params = init_params(tiny_config())
         with pytest.raises(ValueError, match="out of range"):
-            encoder_forward(params, [1, 99, 2])
+            encoder_forward(params, *pad_batch([[1, 99, 2]]))
         with pytest.raises(ValueError, match="non-empty"):
-            encoder_forward(params, [])
+            encoder_forward(params, *pad_batch([[]]))
 
 
 class TestLatent:
     def test_zero_noise_gives_mean(self):
         params = init_params(tiny_config())
-        h = np.linspace(-1, 1, params.hidden_dim)
-        mu, logvar, z = latent(params, h, np.zeros(params.latent_dim))
+        h = np.linspace(-1, 1, params.hidden_dim)[None]
+        mu, logvar, z = latent(params, h, np.zeros((1, params.latent_dim)))
         assert np.array_equal(z, mu)
 
     def test_unit_logvar_zero(self):
         params = init_params(tiny_config())
-        h = np.linspace(-1, 1, params.hidden_dim)
+        h = np.linspace(-1, 1, params.hidden_dim)[None]
         params.latent_b[params.latent_dim:] = 0.0
         params.latent_w[params.latent_dim:, :] = 0.0  # force logvar == 0
-        mu, logvar, z = latent(params, h, np.ones(params.latent_dim))
+        mu, logvar, z = latent(params, h, np.ones((1, params.latent_dim)))
         assert np.array_equal(logvar, np.zeros_like(logvar))
         assert np.allclose(z, mu + 1.0, rtol=0, atol=0)
 
@@ -107,15 +111,15 @@ class TestLatent:
         params = init_params(tiny_config(latent_dim=2))
         params.latent_w[...] = 0.0
         params.latent_b[...] = [1.0, 0.0, 0.0, math.log(4.0)]
-        mu, logvar, z = latent(params, np.zeros(params.hidden_dim), np.array([2.0, -1.0]))
-        assert np.allclose(mu, [1.0, 0.0])
-        assert np.allclose(z, [3.0, -2.0])
+        mu, logvar, z = latent(params, np.zeros((1, params.hidden_dim)), np.array([[2.0, -1.0]]))
+        assert np.allclose(mu, [[1.0, 0.0]])
+        assert np.allclose(z, [[3.0, -2.0]])
 
 
 class TestDecoderAndLoss:
     def test_softmax_rows_normalized(self):
         params = init_params(tiny_config(seed=2))
-        logits, _ = decoder_forward(params, np.ones(params.latent_dim), [1, 4, 5, 2])
+        logits, _ = decoder_forward(params, np.ones((1, params.latent_dim)), *pad_batch([[1, 4, 5, 2]]))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
@@ -125,47 +129,86 @@ class TestDecoderAndLoss:
         params = init_params(cfg)
         for _, tensor in named_tensors(params):
             tensor.fill(0.0)
-        ids = [1, 4, 5, 6, 2]
-        logits, _ = decoder_forward(params, np.zeros(cfg.latent_dim), ids)
-        breakdown = elbo_loss(logits, ids, np.zeros(2), np.zeros(2))
+        ids, lengths = pad_batch([[1, 4, 5, 6, 2]])
+        logits, _ = decoder_forward(params, np.zeros((1, cfg.latent_dim)), ids, lengths)
+        breakdown = elbo_loss(logits, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
         assert breakdown.ce == math.log(20.0)
         assert breakdown.kl == 0.0
 
     def test_deterministic_logits(self):
         params = init_params(tiny_config(seed=9))
-        z = np.linspace(-0.5, 0.5, params.latent_dim)
-        a, _ = decoder_forward(params, z, [1, 4, 2])
-        b, _ = decoder_forward(params, z, [1, 4, 2])
+        z = np.linspace(-0.5, 0.5, params.latent_dim)[None]
+        a, _ = decoder_forward(params, z, *pad_batch([[1, 4, 2]]))
+        b, _ = decoder_forward(params, z, *pad_batch([[1, 4, 2]]))
         assert np.array_equal(a, b)
 
     def test_targets_must_be_bos_eos_framed(self):
         params = init_params(tiny_config())
         with pytest.raises(ValueError, match="BOS"):
-            decoder_forward(params, np.zeros(params.latent_dim), [4, 5, 6])
+            decoder_forward(params, np.zeros((1, params.latent_dim)), *pad_batch([[4, 5, 6]]))
 
     def test_kl_zero_when_posterior_is_prior(self):
-        bd = elbo_loss(np.zeros((1, 9)), [1, 2], np.zeros(3), np.zeros(3))
+        bd = elbo_loss(np.zeros((1, 9)), *pad_batch([[1, 2]]), np.zeros((1, 3)), np.zeros((1, 3)))
         assert bd.kl == 0.0
 
     def test_kl_half_for_unit_mean(self):
-        bd = elbo_loss(np.zeros((1, 9)), [1, 2], np.array([1.0]), np.array([0.0]))
+        bd = elbo_loss(np.zeros((1, 9)), *pad_batch([[1, 2]]), np.array([[1.0]]), np.array([[0.0]]))
         assert abs(bd.kl - 0.5) < 1e-15
 
     def test_one_hot_logits_drive_ce_to_zero(self):
-        ids = [1, 4, 2]
+        ids, lengths = pad_batch([[1, 4, 2]])
         logits = np.full((2, 9), -1000.0)
         logits[0, 4] = 1000.0
         logits[1, 2] = 1000.0
-        bd = elbo_loss(logits, ids, np.zeros(2), np.zeros(2))
+        bd = elbo_loss(logits, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
         assert bd.ce < 1e-12
 
     def test_total_combines_with_beta(self):
-        ids = [1, 4, 2]
+        ids, lengths = pad_batch([[1, 4, 2]])
         logits = np.zeros((2, 9))
-        bd = elbo_loss(logits, ids, np.array([1.0]), np.array([0.0]), beta=0.25)
+        mu, logvar = np.array([[1.0]]), np.array([[0.0]])
+        bd = elbo_loss(logits, ids, lengths, mu, logvar, beta=0.25)
         assert bd.total == bd.ce + 0.25 * bd.kl
-        bd1 = elbo_loss(logits, ids, np.array([1.0]), np.array([0.0]))
+        bd1 = elbo_loss(logits, ids, lengths, mu, logvar)
         assert bd1.total == bd1.ce + bd1.kl
+
+
+class TestBatching:
+    def test_batch_gradient_is_sum_of_single_sequence_gradients(self):
+        params = init_params(tiny_config(vocab_size=20, seed=6))
+        seqs = [[1, 5, 9, 4, 17, 2], [1, 7, 12, 2], [1, 3, 2], [1, 8, 8, 8, 8, 8, 6, 2]]
+        noise = np.random.default_rng(0).standard_normal((len(seqs), params.latent_dim))
+        batched, grads = loss_and_grads(params, *pad_batch(seqs), noise, 0.7)
+        summed = zeros_like_params(params)
+        total = 0.0
+        for seq, row in zip(seqs, noise):
+            single, _ = loss_and_grads(params, *pad_batch([seq]), row[None], 0.7, grads=summed)
+            total += single.total
+        assert abs(batched.total - total) <= 1e-12 * abs(total)
+        for (name, a), (_, b) in zip(named_tensors(grads), named_tensors(summed)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+class TestAdam:
+    def test_step_is_bit_identical_to_the_reference_formula(self):
+        params = init_params(tiny_config(seed=2))
+        grads = init_params(tiny_config(seed=3))  # any tensors of the right shapes
+        expected = {name: t.copy() for name, t in named_tensors(params)}
+        m = {name: np.zeros_like(t) for name, t in expected.items()}
+        v = {name: np.zeros_like(t) for name, t in expected.items()}
+        lr, beta1, beta2, eps, scale = 1e-2, 0.9, 0.999, 1e-8, 0.25
+        optimizer = _Adam(params, lr)
+        for t in (1, 2):
+            optimizer.update(params, grads, scale)
+            bc1 = 1.0 - beta1**t
+            bc2 = 1.0 - beta2**t
+            for name, grad in named_tensors(grads):
+                g = grad * scale
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                expected[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        for name, tensor in named_tensors(params):
+            assert np.array_equal(tensor, expected[name]), name
 
 
 class TestTrain:
