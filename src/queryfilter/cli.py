@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import multiprocessing
 import sys
@@ -28,7 +29,7 @@ from .corpus import (
     write_jsonl,
 )
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
-from .rules import Ruleset, apply_ruleset, ruleset_from_config
+from .rules import Ruleset, apply_ruleset
 from .threshold import partition
 from .vae import TrainingError, reconstruction_loss, train
 from .vocab import Vocabulary, build_vocab, tokenize
@@ -55,14 +56,36 @@ def _write_json(obj: dict, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# rule-filter stage
+# per-record map, serial or on a process pool
 # ----------------------------------------------------------------------
 
 _WORKER: dict = {}
 
 
-def _rule_worker_init(order, disabled):
-    _WORKER["ruleset"] = ruleset_from_config(order, disabled)
+def _map_init(fn):
+    _WORKER["fn"] = fn
+
+
+def _map_worker(item):
+    return _WORKER["fn"](item)
+
+
+def _map_records(fn, items, jobs: int, chunksize: int) -> list:
+    """``[fn(item) for item in items]``, in order, on ``jobs`` processes.
+
+    With ``jobs > 1`` the pool receives ``fn`` once, through its initializer,
+    so ``fn`` must be picklable (a module-level function or a partial of one
+    over data); the items travel in chunks of ``chunksize``.
+    """
+    if jobs == 1:
+        return [fn(item) for item in items]
+    with multiprocessing.Pool(jobs, initializer=_map_init, initargs=(fn,)) as pool:
+        return list(pool.imap(_map_worker, items, chunksize=chunksize))
+
+
+# ----------------------------------------------------------------------
+# rule-filter stage
+# ----------------------------------------------------------------------
 
 
 def filter_comment(ruleset: Ruleset, raw_comment: str):
@@ -71,16 +94,8 @@ def filter_comment(ruleset: Ruleset, raw_comment: str):
     return first, apply_ruleset(ruleset, first)
 
 
-def _rule_worker(raw_comment: str):
-    return filter_comment(_WORKER["ruleset"], raw_comment)
-
-
 def run_rule_filter(
     cfg: PipelineConfig,
-    input_path,
-    retained_path,
-    rejects_path,
-    stats_path,
     extra_disabled: tuple[str, ...] = (),
     jobs: int = 1,
     quiet: bool = False,
@@ -92,16 +107,10 @@ def run_rule_filter(
     n_input = 0
     n_retained = 0
 
-    records = list(read_jsonl(input_path))
-    if jobs > 1:
-        with multiprocessing.Pool(
-            jobs,
-            initializer=_rule_worker_init,
-            initargs=(ruleset.rule_ids(), tuple(r.id for r in ruleset.rules if not r.enabled)),
-        ) as pool:
-            results = list(pool.imap(_rule_worker, (r.comment for r in records), chunksize=256))
-    else:
-        results = [filter_comment(ruleset, r.comment) for r in records]
+    records = list(read_jsonl(cfg.paths.input))
+    results = _map_records(
+        functools.partial(filter_comment, ruleset), (r.comment for r in records), jobs, 256
+    )
 
     retained_records: list[Record] = []
     rejected_records: list[Record] = []
@@ -144,9 +153,9 @@ def run_rule_filter(
     stats = {"input": n_input, "retained": n_retained,
              "rejected": n_input - n_retained, "rows": rows}
 
-    write_jsonl(retained_records, retained_path)
-    write_jsonl(rejected_records, rejects_path)
-    _write_json(stats, stats_path)
+    write_jsonl(retained_records, cfg.paths.rule_retained)
+    write_jsonl(rejected_records, cfg.paths.rule_rejects)
+    _write_json(stats, cfg.paths.rule_stats)
     _diag(quiet, f"rule-filter: {n_retained}/{n_input} records retained")
     return stats
 
@@ -156,12 +165,12 @@ def run_rule_filter(
 # ----------------------------------------------------------------------
 
 
-def run_bootstrap(cfg: PipelineConfig, titles_path, output_path, quiet=False) -> BootstrapStats:
+def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
     ruleset = cfg.build_ruleset(extra_disabled=("interrogation",))
     stats = BootstrapStats()
-    with open(titles_path, "r", encoding="utf-8") as fh:
+    with open(cfg.paths.titles, "r", encoding="utf-8") as fh:
         titles = (line.rstrip("\n") for line in fh)
-        with atomic_open(output_path) as out:
+        with atomic_open(cfg.paths.bootstrap) as out:
             for query in prepare_bootstrap(titles, ruleset, stats):
                 out.write(query + "\n")
     _diag(
@@ -177,8 +186,8 @@ def run_bootstrap(cfg: PipelineConfig, titles_path, output_path, quiet=False) ->
 # ----------------------------------------------------------------------
 
 
-def run_train(cfg: PipelineConfig, bootstrap_path, checkpoint_path, vocab_path, quiet=False):
-    with open(bootstrap_path, "r", encoding="utf-8") as fh:
+def run_train(cfg: PipelineConfig, quiet=False):
+    with open(cfg.paths.bootstrap, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     token_lists = [tokenize(line) for line in lines]
     vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
@@ -199,8 +208,8 @@ def run_train(cfg: PipelineConfig, bootstrap_path, checkpoint_path, vocab_path, 
         )
 
     params, trace = train(sequences, vae_cfg, progress=progress)
-    vocab.save(vocab_path)
-    save_checkpoint(params, vae_cfg, vocab.content_hash(), checkpoint_path)
+    vocab.save(cfg.paths.vocabulary)
+    save_checkpoint(params, vae_cfg, vocab.content_hash(), cfg.paths.checkpoint)
     return trace
 
 
@@ -209,48 +218,20 @@ def run_train(cfg: PipelineConfig, bootstrap_path, checkpoint_path, vocab_path, 
 # ----------------------------------------------------------------------
 
 
-def _score_worker_init(checkpoint_path, vocab_path):
-    vocab = Vocabulary.load(vocab_path)
-    params, config = load_checkpoint(checkpoint_path, vocab.content_hash())
-    _WORKER.update(params=params, config=config, vocab=vocab)
+def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
+    vocab = Vocabulary.load(cfg.paths.vocabulary)
+    params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
+    records = list(read_jsonl(cfg.paths.rule_retained))
+    encoded = [vocab.encode(tokenize(r.comment), vae_cfg.max_len) for r in records]
 
-
-def _score_worker(comment: str) -> float:
-    vocab = _WORKER["vocab"]
-    ids = vocab.encode(tokenize(comment), _WORKER["config"].max_len)
-    return reconstruction_loss(_WORKER["params"], ids)
-
-
-def run_score(
-    cfg: PipelineConfig,
-    input_path,
-    checkpoint_path,
-    vocab_path,
-    output_path,
-    jobs: int = 1,
-    quiet: bool = False,
-) -> int:
-    vocab = Vocabulary.load(vocab_path)
-    params, vae_cfg = load_checkpoint(checkpoint_path, vocab.content_hash())
-    records = list(read_jsonl(input_path))
-
-    empty = sum(1 for r in records if not tokenize(r.comment))
+    empty = sum(1 for ids in encoded if len(ids) == 2)
     if empty:
         _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-    if jobs > 1:
-        with multiprocessing.Pool(
-            jobs, initializer=_score_worker_init, initargs=(checkpoint_path, vocab_path)
-        ) as pool:
-            scores = list(pool.imap(_score_worker, (r.comment for r in records), chunksize=64))
-    else:
-        scores = [
-            reconstruction_loss(params, vocab.encode(tokenize(r.comment), vae_cfg.max_len))
-            for r in records
-        ]
+    scores = _map_records(functools.partial(reconstruction_loss, params), encoded, jobs, 64)
     for record, score in zip(records, scores):
         record.score = score
-    write_jsonl(records, output_path)
+    write_jsonl(records, cfg.paths.scored)
     _diag(quiet, f"score: {len(records)} records scored")
     return len(records)
 
@@ -260,16 +241,8 @@ def run_score(
 # ----------------------------------------------------------------------
 
 
-def run_partition(
-    cfg: PipelineConfig,
-    input_path,
-    retained_path,
-    rejects_path,
-    report_path,
-    strip_provenance: bool = False,
-    quiet: bool = False,
-) -> dict:
-    records = list(read_jsonl(input_path))
+def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bool = False) -> dict:
+    records = list(read_jsonl(cfg.paths.scored))
     if not records:
         raise ValueError("nothing to partition: input is empty")
     missing = [r.id for r in records if r.score is None]
@@ -295,9 +268,9 @@ def run_partition(
         else:
             record.provenance.append(ProvenanceEntry("semantic", "rejected"))
             rejected_records.append(record)
-    write_jsonl(retained_records, retained_path)
-    write_jsonl(rejected_records, rejects_path)
-    _write_json(result.report, report_path)
+    write_jsonl(retained_records, cfg.paths.retained)
+    write_jsonl(rejected_records, cfg.paths.semantic_rejects)
+    _write_json(result.report, cfg.paths.report)
     _diag(
         quiet,
         f"partition[{cfg.threshold.strategy}]: retained "
@@ -312,14 +285,22 @@ def run_partition(
 # ----------------------------------------------------------------------
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="pipeline configuration file (INI)")
     sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers for record stages")
+    sub.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for record stages")
     sub.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; each file flag's dest is the [paths] field it overrides."""
     parser = argparse.ArgumentParser(
         prog="queryfilter",
         description="Clean comment-code corpora into query-quality training pairs.",
@@ -329,15 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rule-filter", help="apply the syntactic ruleset")
     _common_flags(p)
     p.add_argument("--input")
-    p.add_argument("--retained")
-    p.add_argument("--rejects")
-    p.add_argument("--stats")
+    p.add_argument("--retained", dest="rule_retained")
+    p.add_argument("--rejects", dest="rule_rejects")
+    p.add_argument("--stats", dest="rule_stats")
     p.add_argument("--disable-rule", action="append", default=[], metavar="RULE_ID")
 
     p = sub.add_parser("bootstrap", help="prepare the bootstrap query corpus from titles")
     _common_flags(p)
-    p.add_argument("--input", help="question titles, one per line")
-    p.add_argument("--output")
+    p.add_argument("--input", dest="titles", help="question titles, one per line")
+    p.add_argument("--output", dest="bootstrap")
 
     p = sub.add_parser("train", help="train the scoring model on the bootstrap corpus")
     _common_flags(p)
@@ -347,16 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="attach reconstruction-loss scores to records")
     _common_flags(p)
-    p.add_argument("--input")
+    p.add_argument("--input", dest="rule_retained")
     p.add_argument("--checkpoint")
     p.add_argument("--vocabulary")
-    p.add_argument("--output")
+    p.add_argument("--output", dest="scored")
 
     p = sub.add_parser("partition", help="split scored records into retained/rejected")
     _common_flags(p)
-    p.add_argument("--input")
+    p.add_argument("--input", dest="scored")
     p.add_argument("--retained")
-    p.add_argument("--rejects")
+    p.add_argument("--rejects", dest="semantic_rejects")
     p.add_argument("--report")
     p.add_argument("--strategy", choices=["gmm", "percentile", "kmeans2"])
     p.add_argument("--p", type=float, help="retained fraction for the percentile strategy")
@@ -368,12 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap")
 
     p = sub.add_parser("metrics", help="evaluate a JSONL rank file")
-    _common_flags(p)
     p.add_argument("rank_file")
     p.add_argument("--k", type=int, nargs="+", default=[1, 5, 10])
 
     p = sub.add_parser("sample-size", help="manual-inspection sample size")
-    _common_flags(p)
     p.add_argument("population", type=float)
     p.add_argument("--z", type=float, default=1.96)
     p.add_argument("--p", type=float, default=0.5)
@@ -383,99 +362,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> PipelineConfig:
+    """The configured pipeline with every given flag applied to its field.
+
+    A flag overrides the [paths] or [threshold] field named by its dest.
+    """
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    for section in ("paths", "threshold"):
+        target = getattr(cfg, section)
+        overrides = {f.name: given[f.name] for f in dataclasses.fields(target) if f.name in given}
+        setattr(cfg, section, dataclasses.replace(target, **overrides))
     return cfg
 
 
-def _pick(flag, configured):
-    return flag if flag is not None else configured
-
-
 def cmd_rule_filter(args) -> int:
-    cfg = _load_cfg(args)
-    run_rule_filter(
-        cfg,
-        _pick(args.input, cfg.paths.input),
-        _pick(args.retained, cfg.paths.rule_retained),
-        _pick(args.rejects, cfg.paths.rule_rejects),
-        _pick(args.stats, cfg.paths.rule_stats),
-        extra_disabled=tuple(args.disable_rule),
-        jobs=args.jobs,
-        quiet=args.quiet,
-    )
+    run_rule_filter(_load_cfg(args), tuple(args.disable_rule), args.jobs, args.quiet)
     return 0
 
 
 def cmd_bootstrap(args) -> int:
-    cfg = _load_cfg(args)
-    run_bootstrap(cfg, _pick(args.input, cfg.paths.titles), _pick(args.output, cfg.paths.bootstrap), args.quiet)
+    run_bootstrap(_load_cfg(args), args.quiet)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    run_train(
-        cfg,
-        _pick(args.bootstrap, cfg.paths.bootstrap),
-        _pick(args.checkpoint, cfg.paths.checkpoint),
-        _pick(args.vocabulary, cfg.paths.vocabulary),
-        args.quiet,
-    )
+    run_train(_load_cfg(args), args.quiet)
     return 0
 
 
 def cmd_score(args) -> int:
-    cfg = _load_cfg(args)
-    run_score(
-        cfg,
-        _pick(args.input, cfg.paths.rule_retained),
-        _pick(args.checkpoint, cfg.paths.checkpoint),
-        _pick(args.vocabulary, cfg.paths.vocabulary),
-        _pick(args.output, cfg.paths.scored),
-        jobs=args.jobs,
-        quiet=args.quiet,
-    )
+    run_score(_load_cfg(args), args.jobs, args.quiet)
     return 0
 
 
 def cmd_partition(args) -> int:
-    cfg = _load_cfg(args)
-    if args.strategy is not None:
-        cfg.threshold.strategy = args.strategy
-    if args.p is not None:
-        cfg.threshold.p = args.p
-    run_partition(
-        cfg,
-        _pick(args.input, cfg.paths.scored),
-        _pick(args.retained, cfg.paths.retained),
-        _pick(args.rejects, cfg.paths.semantic_rejects),
-        _pick(args.report, cfg.paths.report),
-        strip_provenance=args.strip_provenance,
-        quiet=args.quiet,
-    )
+    run_partition(_load_cfg(args), args.strip_provenance, args.quiet)
     return 0
 
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    paths = cfg.paths
-    input_path = _pick(args.input, paths.input)
-    bootstrap_path = _pick(args.bootstrap, paths.bootstrap)
-    run_rule_filter(
-        cfg, input_path, paths.rule_retained, paths.rule_rejects, paths.rule_stats,
-        jobs=args.jobs, quiet=args.quiet,
-    )
-    run_train(cfg, bootstrap_path, paths.checkpoint, paths.vocabulary, args.quiet)
-    run_score(
-        cfg, paths.rule_retained, paths.checkpoint, paths.vocabulary, paths.scored,
-        jobs=args.jobs, quiet=args.quiet,
-    )
-    run_partition(
-        cfg, paths.scored, paths.retained, paths.semantic_rejects, paths.report,
-        quiet=args.quiet,
-    )
+    run_rule_filter(cfg, jobs=args.jobs, quiet=args.quiet)
+    run_train(cfg, args.quiet)
+    run_score(cfg, args.jobs, args.quiet)
+    run_partition(cfg, quiet=args.quiet)
     return 0
 
 

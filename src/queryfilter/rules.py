@@ -153,21 +153,18 @@ _BUILTIN_BY_ID = {rule_id: (kind, fn) for rule_id, kind, fn in BUILTIN_RULES}
 
 def default_ruleset(disabled: Iterable[str] = ()) -> Ruleset:
     """The builtin eight-rule set, optionally with some rules disabled."""
-    disabled_set = set(disabled)
-    unknown = disabled_set - set(DEFAULT_RULE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    return Ruleset(
-        tuple(
-            Rule(rule_id, kind, fn, enabled=rule_id not in disabled_set)
-            for rule_id, kind, fn in BUILTIN_RULES
-        )
-    )
+    return ruleset_from_config(DEFAULT_RULE_ORDER, disabled)
 
 
 def ruleset_from_config(order: Iterable[str], disabled: Iterable[str] = ()) -> Ruleset:
-    """Build a ruleset of builtin rules in a configured order."""
+    """Build a ruleset of builtin rules in a configured order.
+
+    Every disabled id must name a builtin rule; it need not be in ``order``.
+    """
     disabled_set = set(disabled)
+    unknown = disabled_set - set(_BUILTIN_BY_ID)
+    if unknown:
+        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
     rules = []
     for rule_id in order:
         if rule_id not in _BUILTIN_BY_ID:

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: stages, exit codes, file contracts."""
 
+import argparse
+import dataclasses
 import json
 import struct
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from queryfilter.checkpoint import save_checkpoint
-from queryfilter.cli import main
+from queryfilter.cli import _load_cfg, build_parser, main
+from queryfilter.config import PathsConfig, load_config
 from queryfilter.corpus import read_jsonl
 from queryfilter.vae import VaeConfig, init_params, named_tensors
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary
@@ -149,6 +152,22 @@ class TestRuleFilterCommand:
     def test_missing_input_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
+
+    def test_unknown_disabled_rule_flag_exits_1(self, tmp_path, capsys):
+        write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
+        cfg = small_config(tmp_path)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet",
+                     "--disable-rule", "shrot_sentence"]) == 1
+        assert "shrot_sentence" in capsys.readouterr().err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
+
+    def test_unknown_disabled_rule_in_config_exits_1(self, tmp_path, capsys):
+        write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
+        cfg = small_config(tmp_path, extra="[ruleset]\ndisabled = urls, nonsense\n")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "nonsense" in err and "urls" not in err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
 
     def test_jobs_match_serial_output(self, tmp_path):
         rows = TABLE_EXAMPLES + [("k1", "convert string to int")]
@@ -380,3 +399,75 @@ class TestUtilityCommands:
     def test_sample_size_command(self, capsys):
         assert main(["sample-size", "394471"]) == 0
         assert capsys.readouterr().out.strip() == "384"
+
+
+# (subcommand, file flag, [paths] field the flag overrides)
+FILE_FLAGS = [
+    ("rule-filter", "--input", "input"),
+    ("rule-filter", "--retained", "rule_retained"),
+    ("rule-filter", "--rejects", "rule_rejects"),
+    ("rule-filter", "--stats", "rule_stats"),
+    ("bootstrap", "--input", "titles"),
+    ("bootstrap", "--output", "bootstrap"),
+    ("train", "--bootstrap", "bootstrap"),
+    ("train", "--checkpoint", "checkpoint"),
+    ("train", "--vocabulary", "vocabulary"),
+    ("score", "--input", "rule_retained"),
+    ("score", "--checkpoint", "checkpoint"),
+    ("score", "--vocabulary", "vocabulary"),
+    ("score", "--output", "scored"),
+    ("partition", "--input", "scored"),
+    ("partition", "--retained", "retained"),
+    ("partition", "--rejects", "semantic_rejects"),
+    ("partition", "--report", "report"),
+    ("run", "--input", "input"),
+    ("run", "--bootstrap", "bootstrap"),
+]
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("command, flag, field", FILE_FLAGS)
+    def test_file_flag_sets_its_paths_field(self, tmp_path, command, flag, field):
+        cfg_path = small_config(tmp_path)
+        configured = load_config(cfg_path)
+        args = build_parser().parse_args([command, "--config", str(cfg_path), flag, "flagged.out"])
+        cfg = _load_cfg(args)
+        assert cfg.paths == dataclasses.replace(configured.paths, **{field: "flagged.out"})
+        assert cfg.threshold == configured.threshold
+
+    def test_table_lists_every_file_flag(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        fields = {f.name for f in dataclasses.fields(PathsConfig)}
+        found = {(name, action.option_strings[0])
+                 for name, sub in commands.choices.items()
+                 for action in sub._actions if action.dest in fields}
+        assert found == {(command, flag) for command, flag, _ in FILE_FLAGS}
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--strategy", "percentile", "strategy", "percentile"),
+        ("--p", "0.25", "p", 0.25),
+    ])
+    def test_partition_threshold_flag_sets_its_field(self, tmp_path, flag, value, field, expected):
+        cfg_path = small_config(tmp_path, extra="[threshold]\nstrategy = kmeans2\np = 0.75\n")
+        configured = load_config(cfg_path)
+        cfg = _load_cfg(build_parser().parse_args(["partition", "--config", str(cfg_path), flag, value]))
+        assert cfg.threshold == dataclasses.replace(configured.threshold, **{field: expected})
+        assert cfg.paths == configured.paths
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["score", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["metrics", "ranks.jsonl"], ["sample-size", "100"]],
+                             ids=["metrics", "sample-size"])
+    @pytest.mark.parametrize("flag", [["--config", "missing.ini"], ["--seed", "1"],
+                                      ["--jobs", "7"], ["--quiet"]],
+                             ids=["config", "seed", "jobs", "quiet"])
+    def test_utility_commands_take_no_pipeline_flags(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + flag)
+        assert exc.value.code == 2

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from queryfilter.corpus import (
     BootstrapStats,
@@ -146,6 +146,9 @@ def _records(draw):
     ]
 
 
+# The first example pays Hypothesis's one-time unicode table build, which
+# trips the too_slow health check on a checkout without a .hypothesis cache.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(_records())
 def test_round_trip_identity(tmp_path_factory, records):
     f = tmp_path_factory.mktemp("rt") / "roundtrip.jsonl"
