@@ -48,9 +48,9 @@ probes = [
     "Copyright 2014 by the authors",   # off-topic prose, mostly unknown tokens
 ]
 print("\nreconstruction loss (nats/token):")
-for text in probes:
-    ids = vocab.encode(tokenize(text), max_len=12)
-    print(f"  {text!r:35} {reconstruction_loss(params, ids):6.3f}")
+scores = reconstruction_loss(params, [vocab.encode(tokenize(t), max_len=12) for t in probes])
+for text, score in zip(probes, scores):
+    print(f"  {text!r:35} {score:6.3f}")
 
 # The decoder's greedy output at the prior mean is the corpus's "most
 # typical" sentence shape; scoring, not generation, is the production use.

@@ -218,6 +218,11 @@ def run_train(cfg: PipelineConfig, quiet=False):
 # ----------------------------------------------------------------------
 
 
+# The score stage maps the model over the encoded records in chunks of this
+# many; the scorer forms its length groups inside each chunk.
+_SCORE_CHUNK = 256
+
+
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
@@ -228,8 +233,9 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     if empty:
         _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-    scores = _map_records(functools.partial(reconstruction_loss, params), encoded, jobs, 64)
-    for record, score in zip(records, scores):
+    chunks = [encoded[lo : lo + _SCORE_CHUNK] for lo in range(0, len(encoded), _SCORE_CHUNK)]
+    scored = _map_records(functools.partial(reconstruction_loss, params), chunks, jobs, 1)
+    for record, score in zip(records, (s for chunk in scored for s in chunk.tolist())):
         record.score = score
     write_jsonl(records, cfg.paths.scored)
     _diag(quiet, f"score: {len(records)} records scored")

@@ -10,8 +10,9 @@ per-token cross-entropy with the latent fixed at its mean.
 Every function works on a padded batch: a ``(B, T)`` id matrix whose row b
 holds a sequence in its first ``lengths[b]`` columns (see :func:`pad_batch`).
 Each GRU projects the inputs of all its steps with one GEMM before the time
-loop and carries a row's state unchanged past that row's end.  A batch of one
-is the special case: :func:`reconstruction_loss` scores each record that way.
+loop and carries a row's state unchanged past that row's end.
+:func:`reconstruction_loss` scores records in groups of one length and a fixed
+number of rows, so that a record's score depends on its own ids only.
 
 All gradients are computed analytically by backpropagation through time and
 are validated against central finite differences in the test suite.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +33,9 @@ from .vocab import BOS, EOS, PAD
 # Training feeds each optimizer batch to loss_and_grads in sub-batches of at
 # most this many (time step x hidden unit) activations per GRU.
 _ACTIVATION_CAP = 8 * 16 * 256
+
+# Scoring runs every group of same-length records this many rows at a time.
+_SCORE_ROWS = 16
 
 
 class TrainingError(RuntimeError):
@@ -111,9 +116,10 @@ class VaeParams:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    ce: float  # mean cross-entropy per predicted token, nats
+    ce: float  # sum over the batch of each row's mean cross-entropy per predicted token, nats
     kl: float  # KL divergence of the posterior from the standard normal, nats
     total: float  # ce + beta * kl
+    seq_ce: np.ndarray = field(compare=False)  # (B,): each row's mean cross-entropy; ce is its sum
 
 
 @dataclass(frozen=True)
@@ -214,9 +220,11 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax_(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    x -= np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x
 
 
 # A GRU cache is (x, pad, states, gates, cand), all time-major.  states[t] is
@@ -338,12 +346,13 @@ def decoder_forward(params: VaeParams, z: np.ndarray, ids, lengths):
     s0 = z @ params.dec_init_w.T + params.dec_init_b
     states, cache = _gru_forward(params.dec, params.embedding[ids[:, :-1].T], pad, s0)
     out = states[1:].transpose(1, 0, 2)[~pad[:, :, 0].T]  # (predicted tokens, H)
-    logits = out @ params.out_w.T + params.out_b
+    logits = out @ params.out_w.T
+    logits += params.out_b
     return logits, (pad, out, cache)
 
 
 def elbo_loss(
-    logits: np.ndarray,
+    logp: np.ndarray,
     ids,
     lengths,
     mu: np.ndarray,
@@ -352,15 +361,17 @@ def elbo_loss(
 ) -> LossBreakdown:
     """Per-sequence mean cross-entropy plus the (annealed) KL term, summed over the batch.
 
-    ``logits`` rows follow :func:`decoder_forward`.
+    ``logp`` is the log-softmax of the logits of :func:`decoder_forward`,
+    with the same rows.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n_pred = np.asarray(lengths, dtype=np.int64) - 1
     targets = _targets(ids, n_pred + 1)
-    nll = -_log_softmax(logits)[np.arange(len(targets)), targets]
-    ce = float(np.sum(np.add.reduceat(nll, np.cumsum(n_pred) - n_pred) / n_pred))
+    nll = -logp[np.arange(len(targets)), targets]
+    seq_ce = np.add.reduceat(nll, np.cumsum(n_pred) - n_pred) / n_pred
+    ce = float(np.sum(seq_ce))
     kl = float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
-    return LossBreakdown(ce=ce, kl=kl, total=ce + beta * kl)
+    return LossBreakdown(ce=ce, kl=kl, total=ce + beta * kl, seq_ce=seq_ce)
 
 
 def loss_and_grads(
@@ -382,13 +393,14 @@ def loss_and_grads(
     h, (enc_pad, fwd_cache, bwd_cache) = encoder_forward(params, ids, lengths)
     mu, logvar, z = latent(params, h, noise)
     logits, (dec_pad, out, dec_cache) = decoder_forward(params, z, ids, lengths)
-    breakdown = elbo_loss(logits, ids, lengths, mu, logvar, beta)
+    logp = _log_softmax_(logits)
+    breakdown = elbo_loss(logp, ids, lengths, mu, logvar, beta)
     g = grads if grads is not None else zeros_like_params(params)
 
     # Cross-entropy backward: softmax minus one-hot, each row averaged over
     # the predicted positions of its own sequence.
     n_pred = lengths - 1
-    d_logits = np.exp(_log_softmax(logits))
+    d_logits = np.exp(logp, out=logp)
     d_logits[np.arange(len(d_logits)), _targets(ids, lengths)] -= 1.0
     d_logits /= np.repeat(n_pred, n_pred)[:, None]
     g.out_w += d_logits.T @ out
@@ -430,19 +442,35 @@ def total_loss(
     h, _ = encoder_forward(params, ids, lengths)
     mu, logvar, z = latent(params, h, noise)
     logits, _ = decoder_forward(params, z, ids, lengths)
-    return elbo_loss(logits, ids, lengths, mu, logvar, beta)
+    return elbo_loss(_log_softmax_(logits), ids, lengths, mu, logvar, beta)
 
 
-def reconstruction_loss(params: VaeParams, ids: Sequence[int]) -> float:
-    """Deterministic anomaly score of one record: mean per-token cross-entropy at z = mu.
+def reconstruction_loss(params: VaeParams, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+    """Deterministic anomaly scores: each record's mean per-token cross-entropy at z = mu.
 
-    No sampling and no KL term, so repeated calls are bit-identical.  The
-    record is scored as a batch of one: a GEMM row's bits can depend on the
-    number of rows, so batching records together would make a record's
-    score depend on its neighbours.
+    Returns one score per encoded record, in input order.  No sampling and
+    no KL term, so repeated calls are bit-identical.  Records are grouped by
+    length L and each group runs through :func:`total_loss` ``_SCORE_ROWS``
+    rows at a time; a short group is filled with copies of its first row.
+    A GEMM row's bits can depend on the operand shapes but not on the other
+    rows' values, and every shape here is fixed by L alone, so a record's
+    score depends only on its own ids: not on its neighbours, their number,
+    or the order of the input.
     """
-    ids, lengths = pad_batch([ids])
-    return total_loss(params, ids, lengths, np.zeros((1, params.latent_dim))).ce
+    scores = np.empty(len(sequences))
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i, seq in enumerate(sequences):
+        groups[len(seq)].append(i)
+    noise = np.zeros((_SCORE_ROWS, params.latent_dim))
+    for length, positions in groups.items():
+        lengths = np.full(_SCORE_ROWS, length)
+        for lo in range(0, len(positions), _SCORE_ROWS):
+            rows = positions[lo : lo + _SCORE_ROWS]
+            ids = np.empty((_SCORE_ROWS, length), dtype=np.int64)
+            ids[: len(rows)] = [sequences[i] for i in rows]
+            ids[len(rows) :] = ids[0]
+            scores[rows] = total_loss(params, ids, lengths, noise).seq_ce[: len(rows)]
+    return scores
 
 
 def greedy_generate(params: VaeParams, z: np.ndarray, max_len: int = 20) -> list[int]:

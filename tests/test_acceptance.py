@@ -207,14 +207,11 @@ def test_criterion_5_separation_experiment():
         params, trace = train(sequences, cfg)
         assert trace[-1].mean_total < trace[0].mean_total
 
-        scored = []
-        labels = {}
-        for i, (text, is_template) in enumerate(eval_texts):
-            rid = f"s{i}"
-            scored.append(
-                (rid, reconstruction_loss(params, vocab.encode(tokenize(text), 20)))
-            )
-            labels[rid] = is_template
+        scores = reconstruction_loss(
+            params, [vocab.encode(tokenize(text), 20) for text, _ in eval_texts]
+        )
+        scored = [(f"s{i}", score) for i, score in enumerate(scores.tolist())]
+        labels = {f"s{i}": is_template for i, (_, is_template) in enumerate(eval_texts)}
         result = partition(scored, strategy="gmm")
         keep = set(result.retained)
         agree = sum(1 for rid, _ in scored if (rid in keep) == labels[rid])

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from queryfilter.checkpoint import save_checkpoint
-from queryfilter.cli import _load_cfg, build_parser, main
+from queryfilter.cli import _SCORE_CHUNK, _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
 from queryfilter.corpus import read_jsonl
-from queryfilter.vae import VaeConfig, init_params, named_tensors
-from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary
+from queryfilter.vae import VaeConfig, init_params, named_tensors, reconstruction_loss
+from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
 TABLE_EXAMPLES = [
     ("t1", "<p>parse line</p>"),
@@ -294,7 +294,7 @@ class TestScoreCommand:
 
     def test_record_score_independent_of_file_and_jobs(self, tmp_path):
         # A GEMM row's bits can depend on how many rows are multiplied, so
-        # each record must be scored on its own, never batched with others.
+        # records are scored in groups of one length and a fixed row count.
         # Weights larger than the training init make such differences show.
         words = tuple(f"w{i}" for i in range(496))
         vocab = Vocabulary(SPECIAL_TOKENS + words)
@@ -322,6 +322,28 @@ class TestScoreCommand:
         assert scores(rows[20:27], "seven") == {rid: every[rid] for rid, _ in rows[20:27]}
         for rid, comment in rows[20:27]:
             assert scores([(rid, comment)], f"alone_{rid}") == {rid: every[rid]}
+
+    def test_file_larger_than_a_chunk_with_jobs_2_scores_each_record_as_alone(self, tmp_path):
+        words = tuple(f"w{i}" for i in range(96))
+        vocab = Vocabulary(SPECIAL_TOKENS + words)
+        vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=16, hidden_dim=32,
+                            latent_dim=4, max_len=12, seed=3)
+        params = init_params(vae_cfg)
+        rng = np.random.default_rng(4)
+        for _, tensor in named_tensors(params):
+            tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
+        vocab.save(tmp_path / "vocab.txt")
+        save_checkpoint(params, vae_cfg, vocab.content_hash(), tmp_path / "model.ckpt")
+        rows = [(f"r{i:03d}", " ".join(rng.choice(words, size=int(rng.integers(1, 11)))))
+                for i in range(_SCORE_CHUNK + 44)]
+        write_pairs(tmp_path / "rule_retained.jsonl", rows)
+        cfg = small_config(tmp_path)
+        assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "2"]) == 0
+        scored = list(read_jsonl(tmp_path / "scored.jsonl"))
+        assert [r.id for r in scored] == [rid for rid, _ in rows]
+        for record, (_, comment) in zip(scored, rows):
+            ids = vocab.encode(tokenize(comment), vae_cfg.max_len)
+            assert record.score == reconstruction_loss(params, [ids])[0]
 
 
 class TestPartitionCommand:

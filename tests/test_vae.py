@@ -16,6 +16,7 @@ from queryfilter.vae import (
     VaeConfig,
     VaeParams,
     _Adam,
+    _log_softmax_,
     decoder_forward,
     elbo_loss,
     encoder_forward,
@@ -26,6 +27,7 @@ from queryfilter.vae import (
     named_tensors,
     pad_batch,
     reconstruction_loss,
+    total_loss,
     train,
     zeros_like_params,
 )
@@ -131,7 +133,8 @@ class TestDecoderAndLoss:
             tensor.fill(0.0)
         ids, lengths = pad_batch([[1, 4, 5, 6, 2]])
         logits, _ = decoder_forward(params, np.zeros((1, cfg.latent_dim)), ids, lengths)
-        breakdown = elbo_loss(logits, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
+        logp = _log_softmax_(logits)
+        breakdown = elbo_loss(logp, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
         assert breakdown.ce == math.log(20.0)
         assert breakdown.kl == 0.0
 
@@ -160,7 +163,7 @@ class TestDecoderAndLoss:
         logits = np.full((2, 9), -1000.0)
         logits[0, 4] = 1000.0
         logits[1, 2] = 1000.0
-        bd = elbo_loss(logits, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
+        bd = elbo_loss(_log_softmax_(logits), ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
         assert bd.ce < 1e-12
 
     def test_total_combines_with_beta(self):
@@ -277,8 +280,8 @@ class TestReconstructionLoss:
     def test_non_negative_and_deterministic(self):
         params = init_params(tiny_config(seed=4))
         ids = [1, 4, 5, 2]
-        a = reconstruction_loss(params, ids)
-        b = reconstruction_loss(params, ids)
+        (a,) = reconstruction_loss(params, [ids])
+        (b,) = reconstruction_loss(params, [ids])
         assert a >= 0.0
         assert a == b
 
@@ -294,8 +297,7 @@ class TestReconstructionLoss:
             if shuffled == body:
                 continue
             trials += 1
-            original = reconstruction_loss(params, seq)
-            permuted = reconstruction_loss(params, [BOS] + shuffled + [EOS])
+            original, permuted = reconstruction_loss(params, [seq, [BOS] + shuffled + [EOS]])
             if original < permuted:
                 wins += 1
         assert trials >= 40
@@ -304,6 +306,61 @@ class TestReconstructionLoss:
     def test_loss_trace_decreases(self, small_trained_model):
         _, _, trace = small_trained_model
         assert trace[-1].mean_total < trace[0].mean_total
+
+
+def _random_records(rng, lengths, vocab_size):
+    return [[BOS] + rng.integers(4, vocab_size, size=n - 2).tolist() + [EOS] for n in lengths]
+
+
+class TestBatchedScoring:
+    """A record's score depends on its own ids only, never on the rest of the input."""
+
+    VOCAB = 101  # odd, so rows of the (tokens x V) log-softmax start at every alignment
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        params = init_params(VaeConfig(vocab_size=self.VOCAB, embed_dim=16, hidden_dim=32,
+                                       latent_dim=4, max_len=20, seed=8))
+        rng = np.random.default_rng(8)
+        for _, tensor in named_tensors(params):
+            tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
+        return params
+
+    def test_alone_equals_in_a_shuffled_input(self, params):
+        rng = np.random.default_rng(1)
+        records = _random_records(rng, [5] * 20 + [3, 8, 12] * 4, self.VOCAB)
+        scores = reconstruction_loss(params, records)
+        for record, score in zip(records, scores):
+            assert reconstruction_loss(params, [record])[0] == score
+        for _ in range(3):
+            order = rng.permutation(len(records))
+            shuffled = reconstruction_loss(params, [records[i] for i in order])
+            assert np.array_equal(shuffled, scores[order])
+
+    def test_every_position_and_any_neighbours(self, params):
+        rng = np.random.default_rng(2)
+        record = _random_records(rng, [6], self.VOCAB)[0]
+        (alone,) = reconstruction_loss(params, [record])
+        others = _random_records(rng, [6, 4, 6, 9, 6, 6, 4], self.VOCAB)
+        for at in range(len(others) + 1):
+            assert reconstruction_loss(params, others[:at] + [record] + others[at:])[at] == alone
+        for n in (1, 15, 16, 40):  # a partial group, a full one and more than two
+            neighbours = _random_records(rng, [6] * n, self.VOCAB)
+            at = int(rng.integers(0, n + 1))
+            scores = reconstruction_loss(params, neighbours[:at] + [record] + neighbours[at:])
+            assert scores[at] == alone
+
+    def test_mixed_lengths_come_back_in_input_order(self, params):
+        rng = np.random.default_rng(3)
+        records = _random_records(rng, [7, 3, 12, 3, 7, 5, 20, 3, 9], self.VOCAB)
+        scores = reconstruction_loss(params, records)
+        noise = np.zeros((1, params.latent_dim))
+        expected = [total_loss(params, *pad_batch([r]), noise).ce for r in records]
+        assert np.allclose(scores, expected, rtol=1e-12, atol=0.0)
+
+    def test_empty_input_gives_empty_array(self, params):
+        scores = reconstruction_loss(params, [])
+        assert isinstance(scores, np.ndarray) and scores.shape == (0,)
 
 
 class TestGeneration:
