@@ -47,7 +47,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     """Read a checkpoint; returns (params, config).
 
     Raises :class:`CheckpointError` on a bad magic/version, a truncated file,
-    or (when ``expected_vocab_hash`` is given) a model/vocabulary mismatch.
+    a header without its config, vocabulary hash or tensors or with an unknown
+    config key, or (when ``expected_vocab_hash`` is given) a model/vocabulary
+    mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -63,14 +65,18 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
-
-    config = VaeConfig(**header["config"])
-    stored_hash = header["vocab_hash"]
+    try:
+        config = VaeConfig(**header["config"])
+        stored_hash = header["vocab_hash"]
+        manifest = header["tensors"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
     if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
         raise CheckpointError(f"{path}: model/vocabulary mismatch")
 
     params = init_params(config)
-    manifest = header["tensors"]
     current = {name: t for name, t in named_tensors(params)}
     expected_names = list(current.keys())
     if [name for name, _ in manifest] != expected_names:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import multiprocessing
 import sys
@@ -56,34 +55,6 @@ def _write_json(obj: dict, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# per-record map, serial or on a process pool
-# ----------------------------------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _map_init(fn):
-    _WORKER["fn"] = fn
-
-
-def _map_worker(item):
-    return _WORKER["fn"](item)
-
-
-def _map_records(fn, items, jobs: int, chunksize: int) -> list:
-    """``[fn(item) for item in items]``, in order, on ``jobs`` processes.
-
-    With ``jobs > 1`` the pool receives ``fn`` once, through its initializer,
-    so ``fn`` must be picklable (a module-level function or a partial of one
-    over data); the items travel in chunks of ``chunksize``.
-    """
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(jobs, initializer=_map_init, initargs=(fn,)) as pool:
-        return list(pool.imap(_map_worker, items, chunksize=chunksize))
-
-
-# ----------------------------------------------------------------------
 # rule-filter stage
 # ----------------------------------------------------------------------
 
@@ -95,27 +66,17 @@ def filter_comment(ruleset: Ruleset, raw_comment: str):
 
 
 def run_rule_filter(
-    cfg: PipelineConfig,
-    extra_disabled: tuple[str, ...] = (),
-    jobs: int = 1,
-    quiet: bool = False,
+    cfg: PipelineConfig, extra_disabled: tuple[str, ...] = (), quiet: bool = False
 ) -> dict:
     ruleset = cfg.build_ruleset(extra_disabled)
     enabled = [r for r in ruleset.rules if r.enabled]
     modified = {r.id: 0 for r in enabled if r.kind == "transform"}
     discarded = {r.id: 0 for r in enabled if r.kind == "reject"}
-    n_input = 0
-    n_retained = 0
-
-    records = list(read_jsonl(cfg.paths.input))
-    results = _map_records(
-        functools.partial(filter_comment, ruleset), (r.comment for r in records), jobs, 256
-    )
 
     retained_records: list[Record] = []
     rejected_records: list[Record] = []
-    for record, (first, outcome) in zip(records, results):
-        n_input += 1
+    for record in read_jsonl(cfg.paths.input):
+        first, outcome = filter_comment(ruleset, record.comment)
         if first != record.comment:
             record.provenance.append(
                 ProvenanceEntry("extract", "transformed", before=record.comment, after=first)
@@ -138,8 +99,9 @@ def run_rule_filter(
             record.comment = outcome.text
             record.provenance.append(ProvenanceEntry("rule", "retained"))
             retained_records.append(record)
-            n_retained += 1
 
+    n_retained = len(retained_records)
+    n_input = n_retained + len(rejected_records)
     rows = []
     running = n_input
     for rule in enabled:
@@ -218,9 +180,17 @@ def run_train(cfg: PipelineConfig, quiet=False):
 # ----------------------------------------------------------------------
 
 
-# The score stage maps the model over the encoded records in chunks of this
-# many; the scorer forms its length groups inside each chunk.
-_SCORE_CHUNK = 256
+# Pool workers receive the model once, through the initializer, and look
+# `reconstruction_loss` up when they call it, so no function is sent to them.
+_SCORER: dict = {}
+
+
+def _score_init(params) -> None:
+    _SCORER["params"] = params
+
+
+def _score_worker(share):
+    return reconstruction_loss(_SCORER["params"], share)
 
 
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
@@ -233,9 +203,17 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     if empty:
         _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-    chunks = [encoded[lo : lo + _SCORE_CHUNK] for lo in range(0, len(encoded), _SCORE_CHUNK)]
-    scored = _map_records(functools.partial(reconstruction_loss, params), chunks, jobs, 1)
-    for record, score in zip(records, (s for chunk in scored for s in chunk.tolist())):
+    if jobs == 1:
+        scores = reconstruction_loss(params, encoded).tolist()
+    else:
+        # Worker i scores the records i::jobs.  A score depends only on its
+        # record's ids, so the split changes no score.
+        scores = [0.0] * len(encoded)
+        with multiprocessing.Pool(jobs, initializer=_score_init, initargs=(params,)) as pool:
+            parts = pool.map(_score_worker, [encoded[i::jobs] for i in range(jobs)], chunksize=1)
+        for i, part in enumerate(parts):
+            scores[i::jobs] = part.tolist()
+    for record, score in zip(records, scores):
         record.score = score
     write_jsonl(records, cfg.paths.scored)
     _diag(quiet, f"score: {len(records)} records scored")
@@ -301,7 +279,7 @@ def _jobs(text: str) -> int:
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="pipeline configuration file (INI)")
     sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for record stages")
+    sub.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the score stage")
     sub.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
 
@@ -384,7 +362,7 @@ def _load_cfg(args) -> PipelineConfig:
 
 
 def cmd_rule_filter(args) -> int:
-    run_rule_filter(_load_cfg(args), tuple(args.disable_rule), args.jobs, args.quiet)
+    run_rule_filter(_load_cfg(args), tuple(args.disable_rule), args.quiet)
     return 0
 
 
@@ -410,7 +388,7 @@ def cmd_partition(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    run_rule_filter(cfg, jobs=args.jobs, quiet=args.quiet)
+    run_rule_filter(cfg, quiet=args.quiet)
     run_train(cfg, args.quiet)
     run_score(cfg, args.jobs, args.quiet)
     run_partition(cfg, quiet=args.quiet)

@@ -168,7 +168,7 @@ def extract_first_sentence(comment: str) -> str:
 
     The sentence ends at the first '.', '!' or '?' that is followed by
     whitespace or end-of-text, measured on the whitespace-collapsed comment.
-    When no terminator exists, the first physical line is returned instead.
+    When no terminator exists, the first non-blank line is returned instead.
     Output is trimmed with internal whitespace runs collapsed to single
     spaces; idempotent by construction.
     """
@@ -178,7 +178,7 @@ def extract_first_sentence(comment: str) -> str:
     match = _SENTENCE_END_RE.search(normalized)
     if match:
         return normalized[: match.end()]
-    first_line = comment.splitlines()[0]
+    first_line = next(line for line in comment.splitlines() if line.strip())
     return _WS_RE.sub(" ", first_line).strip()
 
 

@@ -45,18 +45,27 @@ def sample_size(population: float, confidence_z: float = 1.96, p: float = 0.5, c
 
 
 def read_rank_file(path) -> list[tuple[str, int | None]]:
-    """Read a JSONL rank file with fields "query_id" and "rank" (int or null)."""
+    """Read a JSONL rank file of {"query_id": string, "rank": positive int or null}.
+
+    Any other line raises ValueError naming the line.
+    """
     out: list[tuple[str, int | None]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
-            obj = json.loads(stripped)
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_no}: malformed JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {line_no}: each line must be a JSON object")
+            query_id = obj.get("query_id")
+            if not isinstance(query_id, str):
+                raise ValueError(f'line {line_no}: "query_id" must be a string')
             rank = obj.get("rank")
-            if rank is not None:
-                rank = int(rank)
-                if rank < 1:
-                    raise ValueError(f"line {line_no}: rank must be >= 1 or null")
-            out.append((obj["query_id"], rank))
+            if rank is not None and (type(rank) is not int or rank < 1):
+                raise ValueError(f"line {line_no}: rank must be a positive integer or null")
+            out.append((query_id, rank))
     return out

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from queryfilter.checkpoint import save_checkpoint
-from queryfilter.cli import _SCORE_CHUNK, _load_cfg, build_parser, main
+from queryfilter import cli
+from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
 from queryfilter.corpus import read_jsonl
 from queryfilter.vae import VaeConfig, init_params, named_tensors, reconstruction_loss
@@ -169,13 +170,18 @@ class TestRuleFilterCommand:
         assert "nonsense" in err and "urls" not in err
         assert not (tmp_path / "rule_retained.jsonl").exists()
 
-    def test_jobs_match_serial_output(self, tmp_path):
+    def test_jobs_match_serial_output(self, tmp_path, monkeypatch):
         rows = TABLE_EXAMPLES + [("k1", "convert string to int")]
         write_pairs(tmp_path / "pairs.jsonl", rows)
         cfg = small_config(tmp_path)
         main(["rule-filter", "--config", str(cfg), "--quiet"])
         serial = (tmp_path / "rule_retained.jsonl").read_bytes()
-        main(["rule-filter", "--config", str(cfg), "--quiet", "--jobs", "2"])
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("rule-filter opened a process pool")
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet", "--jobs", "2"]) == 0
         assert (tmp_path / "rule_retained.jsonl").read_bytes() == serial
 
 
@@ -287,10 +293,17 @@ class TestScoreCommand:
 
     def test_parallel_scoring_matches_serial(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
-        main(["score", "--config", str(cfg), "--quiet"])
-        serial = (tmp_path / "scored.jsonl").read_bytes()
-        main(["score", "--config", str(cfg), "--quiet", "--jobs", "2"])
-        assert (tmp_path / "scored.jsonl").read_bytes() == serial
+        lines = (tmp_path / "rule_retained.jsonl").read_text(encoding="utf-8").splitlines(True)
+        # The whole file, one record on more workers than records, and no records.
+        for count, jobs in ((len(lines), 2), (1, 3), (0, 2)):
+            (tmp_path / "subset.jsonl").write_text("".join(lines[:count]), encoding="utf-8")
+            files = ["--input", str(tmp_path / "subset.jsonl"),
+                     "--output", str(tmp_path / "subset_scored.jsonl")]
+            assert main(["score", "--config", str(cfg), "--quiet", *files]) == 0
+            serial = (tmp_path / "subset_scored.jsonl").read_bytes()
+            assert serial.count(b"\n") == count
+            assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs), *files]) == 0
+            assert (tmp_path / "subset_scored.jsonl").read_bytes() == serial
 
     def test_record_score_independent_of_file_and_jobs(self, tmp_path):
         # A GEMM row's bits can depend on how many rows are multiplied, so
@@ -323,7 +336,7 @@ class TestScoreCommand:
         for rid, comment in rows[20:27]:
             assert scores([(rid, comment)], f"alone_{rid}") == {rid: every[rid]}
 
-    def test_file_larger_than_a_chunk_with_jobs_2_scores_each_record_as_alone(self, tmp_path):
+    def test_interleaved_split_scores_each_record_as_alone(self, tmp_path):
         words = tuple(f"w{i}" for i in range(96))
         vocab = Vocabulary(SPECIAL_TOKENS + words)
         vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=16, hidden_dim=32,
@@ -335,7 +348,7 @@ class TestScoreCommand:
         vocab.save(tmp_path / "vocab.txt")
         save_checkpoint(params, vae_cfg, vocab.content_hash(), tmp_path / "model.ckpt")
         rows = [(f"r{i:03d}", " ".join(rng.choice(words, size=int(rng.integers(1, 11)))))
-                for i in range(_SCORE_CHUNK + 44)]
+                for i in range(300)]
         write_pairs(tmp_path / "rule_retained.jsonl", rows)
         cfg = small_config(tmp_path)
         assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "2"]) == 0
@@ -417,6 +430,13 @@ class TestUtilityCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["mrr"] == 0.4375
         assert out["answered"] == {"1": 1, "5": 3}
+
+    def test_metrics_bad_rank_line_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "ranks.jsonl"
+        path.write_text('{"query_id": "a", "rank": 1}\n[1, 2]\n', encoding="utf-8")
+        assert main(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 2" in captured.err and captured.out == ""
 
     def test_sample_size_command(self, capsys):
         assert main(["sample-size", "394471"]) == 0

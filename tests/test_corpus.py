@@ -176,6 +176,11 @@ class TestExtractFirstSentence:
     def test_no_terminator_falls_back_to_first_line(self):
         assert extract_first_sentence("first line only\nsecond line") == "first line only"
 
+    def test_no_terminator_skips_leading_blank_lines(self):
+        comment = "\n    Returns the sum of a and b\n    as an int\n"
+        assert extract_first_sentence(comment) == "Returns the sum of a and b"
+        assert extract_first_sentence(" \t\n\n  parse line  \nmore") == "parse line"
+
     def test_empty_input(self):
         assert extract_first_sentence("") == ""
         assert extract_first_sentence("   \n \t ") == ""

@@ -121,6 +121,30 @@ class TestStoredRankFile:
         with pytest.raises(ValueError):
             read_rank_file(path)
 
+    @pytest.mark.parametrize("line", [
+        '{"rank": 1}',
+        '{"query_id": 7, "rank": 1}',
+        '[1, 2]',
+        '"q1"',
+        '{"query_id": "q1", "rank": 1',
+        '{"query_id": "q1", "rank": true}',
+        '{"query_id": "q1", "rank": 2.5}',
+        '{"query_id": "q1", "rank": 2.0}',
+        '{"query_id": "q1", "rank": "2"}',
+    ], ids=["no-query-id", "int-query-id", "list", "string", "truncated", "bool-rank",
+            "fractional-rank", "float-rank", "string-rank"])
+    def test_bad_line_named_in_value_error(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"query_id": "q0", "rank": null}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: "):
+            read_rank_file(path)
+
+    def test_null_and_missing_rank_read_as_unanswered(self, tmp_path):
+        path = tmp_path / "ranks.jsonl"
+        path.write_text('{"query_id": "q0", "rank": null}\n{"query_id": "q1"}\n'
+                        '{"query_id": "q2", "rank": 3}\n', encoding="utf-8")
+        assert read_rank_file(path) == [("q0", None), ("q1", None), ("q2", 3)]
+
 
 class TestSampleSize:
     def test_large_population(self):

@@ -1,5 +1,6 @@
 """VAE forward semantics, training contracts, and checkpoint round-trips."""
 
+import json
 import math
 import struct
 
@@ -415,3 +416,25 @@ class TestCheckpoint:
     def test_matching_hash_accepted(self, tmp_path):
         _, _, path = self._roundtrip_setup(tmp_path)
         load_checkpoint(path, expected_vocab_hash="hash-of-vocab")
+
+    def _rewrite_header(self, path, edit):
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.dumps(edit(json.loads(blob[12 : 12 + header_len]))).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + header_len :])
+
+    @pytest.mark.parametrize("dropped", [("config",), ("vocab_hash",), ("tensors",),
+                                         ("config", "vocab_hash", "tensors")],
+                             ids=["config", "vocab_hash", "tensors", "all"])
+    def test_header_without_field_rejected(self, tmp_path, dropped):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {k: v for k, v in h.items() if k not in dropped})
+        with pytest.raises(CheckpointError, match=f"lacks '{dropped[0]}'"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "dropout": 0.1}})
+        with pytest.raises(CheckpointError, match="dropout"):
+            load_checkpoint(path)
