@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict
+from typing import get_type_hints
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .vae import VaeConfig, VaeParams, init_params, named_tensors
 
 MAGIC = b"QDVA"
 VERSION = 2  # each GRU is one stacked (w, u, b) triple, see vae.GruWeights
+_CONFIG_TYPES = get_type_hints(VaeConfig)  # field name -> int or float
 
 
 class CheckpointError(RuntimeError):
@@ -47,9 +49,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     """Read a checkpoint; returns (params, config).
 
     Raises :class:`CheckpointError` on a bad magic/version, a truncated file,
-    a header without its config, vocabulary hash or tensors or with an unknown
-    config key, or (when ``expected_vocab_hash`` is given) a model/vocabulary
-    mismatch.
+    a header without its config, vocabulary hash or tensors, a config with an
+    unknown key or a wrongly typed or invalid value, a manifest that is not a
+    list of ``[name, shape]`` pairs, or (when ``expected_vocab_hash`` is given)
+    a model/vocabulary mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -73,6 +76,18 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
     except TypeError as exc:
         raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
+    for name, expected in _CONFIG_TYPES.items():
+        if type(getattr(config, name)) not in (expected, int):  # an int fits a float field
+            raise CheckpointError(f"{path}: config field {name!r} must be {expected.__name__}")
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
+    if not isinstance(manifest, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+        for entry in manifest
+    ):
+        raise CheckpointError(f"{path}: tensor manifest must be a list of [name, shape] pairs")
     if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
         raise CheckpointError(f"{path}: model/vocabulary mismatch")
 

@@ -9,16 +9,18 @@ inside larger pipelines without destroying upstream metadata.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .atomic import atomic_open
 
 REQUIRED_FIELDS = ("id", "comment", "code")
+_KNOWN_FIELDS = frozenset(REQUIRED_FIELDS + ("provenance", "score"))
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+_DECODE = json.JSONDecoder().decode
 
-_WS_RE = re.compile(r"\s+")
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 _HOW_TO_RE = re.compile(r"^\s*how\s+to\b", re.IGNORECASE)
 
@@ -33,7 +35,7 @@ class CorpusError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(slots=True)
 class ProvenanceEntry:
     """One filtering event attached to a record."""
 
@@ -55,16 +57,12 @@ class ProvenanceEntry:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProvenanceEntry":
-        return cls(
-            stage=obj.get("stage", ""),
-            action=obj.get("action", ""),
-            rule_id=obj.get("rule_id"),
-            before=obj.get("before"),
-            after=obj.get("after"),
-        )
+        get = obj.get
+        return cls(get("stage", ""), get("action", ""), get("rule_id"), get("before"),
+                   get("after"))
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     """One comment-code pair plus its filtering history.
 
@@ -81,7 +79,8 @@ class Record:
 
     def to_json_obj(self) -> dict:
         obj: dict = {"id": self.id, "comment": self.comment, "code": self.code}
-        obj.update(self.extra)
+        if self.extra:
+            obj.update(self.extra)
         if self.provenance:
             obj["provenance"] = [p.to_dict() for p in self.provenance]
         if self.score is not None:
@@ -90,75 +89,86 @@ class Record:
 
 
 def _record_from_obj(obj: dict, line_no: int) -> Record:
-    for name in REQUIRED_FIELDS:
-        if name not in obj:
-            raise CorpusError(f'missing required field "{name}"', line_no)
-        if not isinstance(obj[name], str):
-            raise CorpusError(f'field "{name}" must be a string', line_no)
+    get = obj.get
+    id_, comment, code = get("id"), get("comment"), get("code")
+    if type(id_) is not str or type(comment) is not str or type(code) is not str:
+        for name in REQUIRED_FIELDS:
+            if name not in obj:
+                raise CorpusError(f'missing required field "{name}"', line_no)
+            if type(obj[name]) is not str:
+                raise CorpusError(f'field "{name}" must be a string', line_no)
     provenance = []
-    raw_prov = obj.get("provenance", [])
+    raw_prov = get("provenance")
     if raw_prov:
-        if not isinstance(raw_prov, list) or not all(
-            isinstance(p, dict) for p in raw_prov
-        ):
+        if type(raw_prov) is not list or not all(type(p) is dict for p in raw_prov):
             raise CorpusError('field "provenance" must be an array of objects', line_no)
         provenance = [ProvenanceEntry.from_dict(p) for p in raw_prov]
-    score = obj.get("score")
+    score = get("score")
     if score is not None:
-        if (
-            not isinstance(score, (int, float))
-            or isinstance(score, bool)
-            or not 0 <= score < math.inf
-        ):
+        # <= the largest float, not < inf: an integer beyond it cannot be converted
+        if type(score) not in (int, float) or not 0 <= score <= sys.float_info.max:
             raise CorpusError('field "score" must be a finite non-negative number', line_no)
         score = float(score)
-    extra = {
-        k: v
-        for k, v in obj.items()
-        if k not in ("id", "comment", "code", "provenance", "score")
-    }
-    return Record(
-        id=obj["id"],
-        comment=obj["comment"],
-        code=obj["code"],
-        provenance=provenance,
-        score=score,
-        extra=extra,
-    )
+    if obj.keys() <= _KNOWN_FIELDS:
+        extra = {}
+    else:
+        extra = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS}
+    return Record(id_, comment, code, provenance, score, extra)
+
+
+def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    Lines end at "\\n" (so CRLF files parse: "\\r" is JSON whitespace) and
+    must be UTF-8.  Blank lines are skipped.  A line that is not valid UTF-8,
+    not JSON, or not a JSON object raises :class:`CorpusError` naming it.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusError("not valid UTF-8", line_no) from None
+            if line.isspace():
+                continue
+            try:
+                obj = _DECODE(line)
+            except json.JSONDecodeError:
+                # str.strip() removes more than JSON whitespace, e.g. "\x0c" and
+                # "\xa0"; json.loads also names a leading BOM in its message.
+                try:
+                    obj = json.loads(line.strip())
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
+            if type(obj) is not dict:
+                raise CorpusError("each line must be a JSON object", line_no)
+            yield line_no, obj
 
 
 def read_jsonl(path) -> Iterator[Record]:
     """Stream records from a JSONL file in file order.
 
-    Raises :class:`CorpusError` with the offending line number on malformed
-    JSON, missing/ill-typed required fields, or a duplicate id.
+    Raises :class:`CorpusError` with the offending line number on a line that
+    is not UTF-8, malformed JSON, missing/ill-typed required fields, or a
+    duplicate id.  The duplicate check keeps every id seen, so its memory
+    grows with the number of records.
     """
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
-            if not isinstance(obj, dict):
-                raise CorpusError("each line must be a JSON object", line_no)
-            record = _record_from_obj(obj, line_no)
-            if record.id in seen_ids:
-                raise CorpusError(f'duplicate id "{record.id}"', line_no)
-            seen_ids.add(record.id)
-            yield record
+    for line_no, obj in iter_json_objects(path):
+        record = _record_from_obj(obj, line_no)
+        if record.id in seen_ids:
+            raise CorpusError(f'duplicate id "{record.id}"', line_no)
+        seen_ids.add(record.id)
+        yield record
 
 
 def write_jsonl(records: Iterable[Record], path) -> int:
     """Write records as UTF-8 JSONL, one object per line, atomically. Returns the count."""
     count = 0
     with atomic_open(path) as fh:
+        write = fh.write
         for record in records:
-            fh.write(json.dumps(record.to_json_obj(), ensure_ascii=False))
-            fh.write("\n")
+            write(_ENCODE(record.to_json_obj()) + "\n")
             count += 1
     return count
 
@@ -172,14 +182,14 @@ def extract_first_sentence(comment: str) -> str:
     Output is trimmed with internal whitespace runs collapsed to single
     spaces; idempotent by construction.
     """
-    normalized = _WS_RE.sub(" ", comment).strip()
+    normalized = " ".join(comment.split())
     if not normalized:
         return ""
     match = _SENTENCE_END_RE.search(normalized)
     if match:
         return normalized[: match.end()]
     first_line = next(line for line in comment.splitlines() if line.strip())
-    return _WS_RE.sub(" ", first_line).strip()
+    return " ".join(first_line.split())
 
 
 @dataclass

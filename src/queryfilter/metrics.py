@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
+
+from .corpus import CorpusError, iter_json_objects
 
 
 def mrr(ranks: Sequence[int | None]) -> float:
@@ -47,20 +48,12 @@ def sample_size(population: float, confidence_z: float = 1.96, p: float = 0.5, c
 def read_rank_file(path) -> list[tuple[str, int | None]]:
     """Read a JSONL rank file of {"query_id": string, "rank": positive int or null}.
 
-    Any other line raises ValueError naming the line.
+    Any other line, including one that is not UTF-8, raises ValueError naming
+    the line.
     """
     out: list[tuple[str, int | None]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {line_no}: each line must be a JSON object")
+    try:
+        for line_no, obj in iter_json_objects(path):
             query_id = obj.get("query_id")
             if not isinstance(query_id, str):
                 raise ValueError(f'line {line_no}: "query_id" must be a string')
@@ -68,4 +61,7 @@ def read_rank_file(path) -> list[tuple[str, int | None]]:
             if rank is not None and (type(rank) is not int or rank < 1):
                 raise ValueError(f"line {line_no}: rank must be a positive integer or null")
             out.append((query_id, rank))
+    except CorpusError as exc:
+        # A bad rank file is a usage error (exit 1), not a corpus I/O error.
+        raise ValueError(str(exc)) from exc
     return out

@@ -2,14 +2,15 @@
 
 Two kinds of rules exist: *transform* rules rewrite the text (dropping
 detachable noise such as HTML tags) and *reject* rules discard it outright.
-A ruleset applies all enabled transforms first, in order, then evaluates the
-reject predicates on the transformed text; the first matching reject wins.
+A ruleset runs its enabled rules in list order: each transform rewrites the
+current text and each reject predicate tests it; the first matching reject
+wins.  The default order puts every transform before every reject.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
@@ -29,6 +30,8 @@ def strip_html_tags(text: str) -> str:
     "a < b" comparisons are left alone.  Substitution repeats to a fixed
     point so stripped output can never still contain a matchable tag.
     """
+    if "<" not in text:
+        return _collapse(text)
     while True:
         replaced = _TAG_RE.sub(" ", text)
         if replaced == text:
@@ -43,6 +46,8 @@ def strip_parentheses(text: str) -> str:
     Nested spans count depth; an unbalanced "(" removes everything through
     end-of-text.  Unmatched ")" is left in place.
     """
+    if "(" not in text:
+        return _collapse(text)
     out: list[str] = []
     depth = 0
     for ch in text:
@@ -69,7 +74,7 @@ def reject_url(text: str) -> bool:
 
 def reject_non_english(text: str) -> bool:
     """True iff any character falls outside ASCII."""
-    return any(ord(ch) > 127 for ch in text)
+    return not text.isascii()
 
 
 def reject_punctuation_only(text: str) -> bool:
@@ -121,6 +126,10 @@ class Ruleset:
     """Immutable ordered rule list; evaluation order is list order."""
 
     rules: tuple[Rule, ...]
+    # (id, is_transform, fn) of each enabled rule, in list order
+    _enabled: tuple[tuple[str, bool, Callable], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         ids = [rule.id for rule in self.rules]
@@ -129,6 +138,10 @@ class Ruleset:
         for rule in self.rules:
             if rule.kind not in ("transform", "reject"):
                 raise ValueError(f'rule "{rule.id}": unknown kind "{rule.kind}"')
+        enabled = tuple(
+            (rule.id, rule.kind == "transform", rule.fn) for rule in self.rules if rule.enabled
+        )
+        object.__setattr__(self, "_enabled", enabled)
 
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(rule.id for rule in self.rules)
@@ -201,27 +214,22 @@ def register_rule(
 
 
 def apply_ruleset(ruleset: Ruleset, text: str) -> RuleOutcome:
-    """Run all enabled transforms, then the reject predicates, over ``text``.
+    """Run the enabled rules over ``text`` in list order.
 
-    Reject rules see the transformed text; the first match wins and names the
-    rule.  If no reject fires, the outcome is ``transformed`` when the text
+    A reject rule sees the text as transformed by the rules before it; the
+    first match wins and names the rule.  If no reject fires, the outcome is ``transformed`` when the text
     changed and ``kept`` otherwise.
     """
     steps: list[TransformStep] = []
     current = text
-    for rule in ruleset.rules:
-        if not rule.enabled:
-            continue
-        if rule.kind == "transform":
-            changed = rule.fn(current)
+    for rule_id, is_transform, fn in ruleset._enabled:
+        if is_transform:
+            changed = fn(current)
             if changed != current:
-                steps.append(TransformStep(rule.id, current, changed))
+                steps.append(TransformStep(rule_id, current, changed))
                 current = changed
-        else:
-            if rule.fn(current):
-                return RuleOutcome(
-                    action="rejected", rule_id=rule.id, transforms=tuple(steps)
-                )
+        elif fn(current):
+            return RuleOutcome("rejected", rule_id, None, tuple(steps))
     if current != text:
-        return RuleOutcome(action="transformed", text=current, transforms=tuple(steps))
-    return RuleOutcome(action="kept", text=current)
+        return RuleOutcome("transformed", None, current, tuple(steps))
+    return RuleOutcome("kept", None, current)

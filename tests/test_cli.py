@@ -154,6 +154,15 @@ class TestRuleFilterCommand:
         cfg = small_config(tmp_path)
         assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
 
+    def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "pairs.jsonl").write_bytes(
+            b'{"id":"a","comment":"parse line","code":"x"}\n{"id":"b","comment":"\xff","code":"x"}\n'
+        )
+        cfg = small_config(tmp_path)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 2: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
+
     def test_unknown_disabled_rule_flag_exits_1(self, tmp_path, capsys):
         write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
         cfg = small_config(tmp_path)
@@ -280,6 +289,18 @@ class TestScoreCommand:
         ckpt.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_header_exits_4(self, trained_pipeline, capsys):
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header["tensors"] = 5
+        raw = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert "[name, shape] pairs" in capsys.readouterr().err
 
     def test_empty_comment_scores_finite_and_is_flagged(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
@@ -437,6 +458,13 @@ class TestUtilityCommands:
         assert main(["metrics", str(path)]) == 1
         captured = capsys.readouterr()
         assert "line 2" in captured.err and captured.out == ""
+
+    def test_metrics_invalid_utf8_exits_1_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "ranks.jsonl"
+        path.write_bytes(b'{"query_id": "a", "rank": 1}\n{"query_id": "\xff", "rank": 2}\n')
+        assert main(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 2: not valid UTF-8" in captured.err and captured.out == ""
 
     def test_sample_size_command(self, capsys):
         assert main(["sample-size", "394471"]) == 0

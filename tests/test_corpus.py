@@ -1,6 +1,7 @@
 """Record I/O, first-sentence extraction, and bootstrap preparation."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -76,11 +77,68 @@ class TestReadJsonl:
         with pytest.raises(CorpusError, match='line 2.*"score"'):
             list(read_jsonl(f))
 
+    def test_integer_score_beyond_float_range_rejected(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y","score":1' + "0" * 400 + "}"])
+        with pytest.raises(CorpusError, match='line 1.*"score"'):
+            list(read_jsonl(f))
+
     def test_unknown_fields_preserved(self, tmp_path):
         f = tmp_path / "in.jsonl"
         _write_lines(f, ['{"id":"a","comment":"x","code":"y","repo":"r","stars":3}'])
         (rec,) = read_jsonl(f)
         assert rec.extra == {"repo": "r", "stars": 3}
+
+    def test_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        f.write_bytes(b'\n   \n\t\r\n{"id":"a","comment":"x","code":"y"}\n\x0c\n'
+                      + "\xa0\u3000\n".encode("utf-8") + b'{"id":"b","comment":"x","code":"y"}')
+        assert [r.id for r in read_jsonl(f)] == ["a", "b"]
+
+    @pytest.mark.parametrize("pad", ["\x0c", "\xa0", "\u2003", " \t"])
+    def test_line_padded_with_non_json_whitespace_accepted(self, tmp_path, pad):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, [pad + '{"id":"a","comment":"x","code":"y"}' + pad])
+        assert [r.id for r in read_jsonl(f)] == ["a"]
+
+    def test_crlf_line_endings(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        f.write_bytes(b'{"id":"a","comment":"x","code":"y"}\r\n\r\n'
+                      b'{"id":"b","comment":"z","code":"w"}\r\n')
+        assert [(r.id, r.comment) for r in read_jsonl(f)] == [("a", "x"), ("b", "z")]
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        f.write_bytes(b'{"id":"a","comment":"x","code":"y"}\n\n'
+                      b'{"id":"b","comment":"\xff","code":"y"}\n')
+        with pytest.raises(CorpusError, match="^line 3: not valid UTF-8$") as info:
+            list(read_jsonl(f))
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("line, message", [
+        ("\ufeff" + '{"id":"a","comment":"x","code":"y"}', "Unexpected UTF-8 BOM"),
+        ('{"id":"a"} {"id":"b"}', "Extra data"),
+        ("\x0c{bad", "Expecting property name"),
+        ("[1]", "each line must be a JSON object"),
+    ])
+    def test_malformed_line_message(self, tmp_path, line, message):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, [line])
+        with pytest.raises(CorpusError, match=f"^line 1: .*{message}"):
+            list(read_jsonl(f))
+
+    @pytest.mark.parametrize("extra", [{}, {"repo": "r", "stars": 3, "tags": ["a"]}])
+    def test_slotted_record_round_trips_with_and_without_extra_fields(self, tmp_path, extra):
+        f = tmp_path / "in.jsonl"
+        obj = {"id": "a", "comment": "x", "code": "y", **extra,
+               "provenance": [{"stage": "rule", "action": "retained"}], "score": 1.5}
+        _write_lines(f, [json.dumps(obj)])
+        (rec,) = read_jsonl(f)
+        assert not hasattr(rec, "__dict__") and not hasattr(rec.provenance[0], "__dict__")
+        assert rec.extra == extra
+        out = tmp_path / "out.jsonl"
+        write_jsonl([rec], out)
+        assert out.read_text(encoding="utf-8") == json.dumps(obj, ensure_ascii=False) + "\n"
 
 
 class TestWriteJsonl:
@@ -187,6 +245,23 @@ class TestExtractFirstSentence:
 
     def test_terminator_without_following_whitespace_is_not_a_boundary(self):
         assert extract_first_sentence("see a.b for details\nmore") == "see a.b for details"
+
+    @given(st.text(max_size=60)
+           | st.text(alphabet=st.sampled_from("ab.?! \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"),
+                     max_size=30))
+    def test_matches_regex_whitespace_collapse(self, text):
+        def collapse(t):
+            return re.sub(r"\s+", " ", t).strip()
+
+        normalized = collapse(text)
+        match = re.search(r"[.!?](?=\s|$)", normalized)
+        if not normalized:
+            expected = ""
+        elif match:
+            expected = normalized[: match.end()]
+        else:
+            expected = collapse(next(line for line in text.splitlines() if line.strip()))
+        assert extract_first_sentence(text) == expected
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):

@@ -139,6 +139,17 @@ class TestStoredRankFile:
         with pytest.raises(ValueError, match="^line 3: "):
             read_rank_file(path)
 
+    def test_invalid_utf8_named_in_value_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"query_id": "q0", "rank": 1}\n{"query_id": "q\xe9", "rank": 2}\n')
+        with pytest.raises(ValueError, match="^line 2: not valid UTF-8$"):
+            read_rank_file(path)
+
+    def test_crlf_and_padded_lines(self, tmp_path):
+        path = tmp_path / "ranks.jsonl"
+        path.write_bytes(b'{"query_id": "q0", "rank": 1}\r\n\r\n\x0c{"query_id": "q1"}\x0c\r\n')
+        assert read_rank_file(path) == [("q0", 1), ("q1", None)]
+
     def test_null_and_missing_rank_read_as_unanswered(self, tmp_path):
         path = tmp_path / "ranks.jsonl"
         path.write_text('{"query_id": "q0", "rank": null}\n{"query_id": "q1"}\n'

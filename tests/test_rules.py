@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from queryfilter.rules import (
+    _TAG_RE,
+    _collapse,
     apply_ruleset,
     default_ruleset,
     register_rule,
@@ -13,6 +15,7 @@ from queryfilter.rules import (
     reject_punctuation_only,
     reject_short,
     reject_url,
+    ruleset_from_config,
     strip_html_tags,
     strip_parentheses,
 )
@@ -128,6 +131,30 @@ class TestApplyRuleset:
         outcome = apply_ruleset(ruleset, "quick sort")
         assert outcome.action == "kept"
 
+    def test_configured_order_interleaves_rejects_and_transforms(self):
+        ruleset = ruleset_from_config(("urls", "parentheses", "short_sentence"))
+        # a reject listed before a transform sees the untransformed text
+        outcome = apply_ruleset(ruleset, "Fetch the page (see www.example.com) now please")
+        assert (outcome.action, outcome.rule_id, outcome.transforms) == ("rejected", "urls", ())
+        # a reject listed after it sees the transformed text
+        outcome = apply_ruleset(ruleset, "Open it (twice over please)")
+        assert (outcome.action, outcome.rule_id) == ("rejected", "short_sentence")
+        assert [s.rule_id for s in outcome.transforms] == ["parentheses"]
+        # the default order runs the transform first, so the URL is gone
+        outcome = apply_ruleset(default_ruleset(), "Fetch the page (see www.example.com) now please")
+        assert (outcome.action, outcome.text) == ("transformed", "Fetch the page now please")
+
+    def test_disabled_rules_skipped_in_configured_order(self):
+        text = "Fetch the page (see www.example.com) now please"
+        ruleset = ruleset_from_config(("urls", "parentheses", "short_sentence"), ("urls",))
+        outcome = apply_ruleset(ruleset, text)
+        assert (outcome.action, outcome.text) == ("transformed", "Fetch the page now please")
+        ruleset = ruleset_from_config(("urls", "parentheses"), ("parentheses",))
+        assert apply_ruleset(ruleset, text).rule_id == "urls"
+        ruleset = ruleset_from_config(("urls", "parentheses"), ("urls", "parentheses"))
+        outcome = apply_ruleset(ruleset, text)
+        assert (outcome.action, outcome.text) == ("kept", text)
+
 
 class TestRegisterRule:
     def test_append_reject(self):
@@ -176,3 +203,39 @@ class TestInvariants:
     def test_transforms_never_grow_text(self, text):
         assert len(strip_html_tags(text)) <= len(text)
         assert len(strip_parentheses(text)) <= len(text)
+
+
+def _strip_parentheses_by_scan(text):
+    """Character scan that strip_parentheses skips for text without "("."""
+    out, depth = [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            if depth == 1:
+                out.append(" ")
+        elif ch == ")" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return _collapse("".join(out))
+
+
+class TestFastPathsMatchReference:
+    @given(st.text(alphabet=st.characters(blacklist_characters="("), max_size=80))
+    def test_parentheses_without_open_paren_only_collapses(self, text):
+        assert strip_parentheses(text) == _collapse(text) == _strip_parentheses_by_scan(text)
+
+    @given(st.text(alphabet=st.sampled_from("ab ()\t\n\xa0"), max_size=40))
+    def test_parentheses_match_character_scan(self, text):
+        assert strip_parentheses(text) == _strip_parentheses_by_scan(text)
+
+    @given(st.text(alphabet=st.sampled_from("ab </>()\t\n\xa0"), max_size=40))
+    def test_html_tags_match_substitution_to_fixed_point(self, text):
+        expected = text
+        while _TAG_RE.sub(" ", expected) != expected:
+            expected = _TAG_RE.sub(" ", expected)
+        assert strip_html_tags(text) == _collapse(expected)
+
+    @given(st.text(max_size=80))
+    def test_non_english_is_any_code_point_above_127(self, text):
+        assert reject_non_english(text) == any(ord(ch) > 127 for ch in text)

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,3 +439,35 @@ class TestCheckpoint:
         self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "dropout": 0.1}})
         with pytest.raises(CheckpointError, match="dropout"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensors", [
+        5, "enc_gru.w", {"enc_gru.w": [3, 4]}, [["embedding", [4, 4]], 7],
+        [["embedding", [4, 4]], ["enc_gru.w"]], [["embedding", 16]],
+    ], ids=["int", "string", "object", "non-list-entry", "short-pair", "int-shape"])
+    def test_malformed_tensor_manifest_rejected(self, tmp_path, tensors):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "tensors": tensors})
+        with pytest.raises(CheckpointError, match=r"\[name, shape\] pairs"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", "4"), ("hidden_dim", 4.0), ("epochs", True), ("learning_rate", "0.1"),
+        ("seed", None),
+    ])
+    def test_wrongly_typed_config_value_rejected(self, tmp_path, key, value):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
+        with pytest.raises(CheckpointError, match=f"config field '{key}' must be"):
+            load_checkpoint(path)
+
+    def test_invalid_config_value_rejected(self, tmp_path):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "hidden_dim": 0}})
+        with pytest.raises(CheckpointError, match="hidden_dim must be >= 1"):
+            load_checkpoint(path)
+
+    def test_integer_learning_rate_accepted(self, tmp_path):
+        cfg = replace(tiny_config(seed=21), learning_rate=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(cfg), cfg, "hash-of-vocab", path)
+        assert load_checkpoint(path)[1] == cfg
