@@ -276,10 +276,11 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, jobs_help: str | None = None) -> None:
     sub.add_argument("--config", help="pipeline configuration file (INI)")
     sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the score stage")
+    if jobs_help:
+        sub.add_argument("--jobs", type=_jobs, default=1, help=jobs_help)
     sub.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
 
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rule-filter", help="apply the syntactic ruleset")
-    _common_flags(p)
+    _common_flags(p, "accepted and ignored: this stage runs in one process")
     p.add_argument("--input")
     p.add_argument("--retained", dest="rule_retained")
     p.add_argument("--rejects", dest="rule_rejects")
@@ -311,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary")
 
     p = sub.add_parser("score", help="attach reconstruction-loss scores to records")
-    _common_flags(p)
+    _common_flags(p, "worker processes for the score stage")
     p.add_argument("--input", dest="rule_retained")
     p.add_argument("--checkpoint")
     p.add_argument("--vocabulary")
     p.add_argument("--output", dest="scored")
 
     p = sub.add_parser("partition", help="split scored records into retained/rejected")
-    _common_flags(p)
+    _common_flags(p, "accepted and ignored: this stage runs in one process")
     p.add_argument("--input", dest="scored")
     p.add_argument("--retained")
     p.add_argument("--rejects", dest="semantic_rejects")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strip-provenance", action="store_true")
 
     p = sub.add_parser("run", help="run all stages end to end")
-    _common_flags(p)
+    _common_flags(p, "worker processes for the score stage")
     p.add_argument("--input")
     p.add_argument("--bootstrap")
 

@@ -56,10 +56,19 @@ class ProvenanceEntry:
         return out
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ProvenanceEntry":
+    def from_dict(cls, obj: dict, line_no: int) -> "ProvenanceEntry":
+        """The entry ``obj`` holds; :class:`CorpusError` if it breaks the entry schema."""
         get = obj.get
-        return cls(get("stage", ""), get("action", ""), get("rule_id"), get("before"),
-                   get("after"))
+        stage, action = get("stage"), get("action")
+        rule_id, before, after = get("rule_id"), get("before"), get("after")
+        if (type(stage) is not str or type(action) is not str
+                or rule_id is not None and type(rule_id) is not str
+                or before is not None and type(before) is not str
+                or after is not None and type(after) is not str
+                or not obj.keys() <= cls.__dataclass_fields__.keys()):
+            raise CorpusError('provenance entries hold a string "stage" and "action", optional '
+                              'string "rule_id", "before" and "after", and no other key', line_no)
+        return cls(stage, action, rule_id, before, after)
 
 
 @dataclass(slots=True)
@@ -99,10 +108,10 @@ def _record_from_obj(obj: dict, line_no: int) -> Record:
                 raise CorpusError(f'field "{name}" must be a string', line_no)
     provenance = []
     raw_prov = get("provenance")
-    if raw_prov:
+    if raw_prov is not None:
         if type(raw_prov) is not list or not all(type(p) is dict for p in raw_prov):
             raise CorpusError('field "provenance" must be an array of objects', line_no)
-        provenance = [ProvenanceEntry.from_dict(p) for p in raw_prov]
+        provenance = [ProvenanceEntry.from_dict(p, line_no) for p in raw_prov]
     score = get("score")
     if score is not None:
         # <= the largest float, not < inf: an integer beyond it cannot be converted
@@ -121,7 +130,8 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
 
     Lines end at "\\n" (so CRLF files parse: "\\r" is JSON whitespace) and
     must be UTF-8.  Blank lines are skipped.  A line that is not valid UTF-8,
-    not JSON, or not a JSON object raises :class:`CorpusError` naming it.
+    not JSON, past the parser's limits (integer digits, nesting depth) or
+    not a JSON object raises :class:`CorpusError` naming it.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -132,14 +142,16 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
             if line.isspace():
                 continue
             try:
-                obj = _DECODE(line)
-            except json.JSONDecodeError:
-                # str.strip() removes more than JSON whitespace, e.g. "\x0c" and
-                # "\xa0"; json.loads also names a leading BOM in its message.
                 try:
+                    obj = _DECODE(line)
+                except json.JSONDecodeError:
+                    # str.strip() removes more than JSON whitespace, e.g. "\x0c" and
+                    # "\xa0"; json.loads also names a leading BOM in its message.
                     obj = json.loads(line.strip())
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
+            except (ValueError, RecursionError) as exc:
+                raise CorpusError(f"unsupported JSON: {exc}", line_no) from exc
             if type(obj) is not dict:
                 raise CorpusError("each line must be a JSON object", line_no)
             yield line_no, obj

@@ -163,6 +163,32 @@ class TestRuleFilterCommand:
         assert "line 2: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "rule_retained.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["9" * 5001, "[" * 200_000 + "]" * 200_000],
+                             ids=["long_integer", "deep_nesting"])
+    def test_value_beyond_parser_limits_exits_2_naming_the_line(self, tmp_path, capsys, value):
+        (tmp_path / "pairs.jsonl").write_text(
+            '{"id":"a","comment":"parse line","code":"x"}\n'
+            '{"id":"b","comment":"parse line","code":"x","extra":' + value + "}\n",
+            encoding="utf-8",
+        )
+        cfg = small_config(tmp_path)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 2: unsupported JSON" in capsys.readouterr().err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
+
+    def test_provenance_entry_off_schema_exits_2_naming_the_line(self, tmp_path, capsys):
+        entry = {"stage": "upstream", "action": "kept", "note": "keep me"}
+        (tmp_path / "pairs.jsonl").write_text(
+            '{"id":"a","comment":"parse line","code":"x"}\n'
+            + json.dumps({"id": "b", "comment": "parse line", "code": "x",
+                          "provenance": [entry]}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = small_config(tmp_path)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 2: provenance entries hold a string" in capsys.readouterr().err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
+
     def test_unknown_disabled_rule_flag_exits_1(self, tmp_path, capsys):
         write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
         cfg = small_config(tmp_path)
@@ -326,6 +352,31 @@ class TestScoreCommand:
             assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs), *files]) == 0
             assert (tmp_path / "subset_scored.jsonl").read_bytes() == serial
 
+    def test_jobs_1_opens_no_pool_and_jobs_3_maps_three_shares(self, trained_pipeline, monkeypatch):
+        tmp_path, cfg = trained_pipeline
+        mapped = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, shares, chunksize):
+                mapped.append([len(share) for share in shares])
+                return [fn(share) for share in shares]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+        assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "1"]) == 0
+        assert mapped == []
+        assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "3"]) == 0
+        n = sum(1 for _ in read_jsonl(tmp_path / "rule_retained.jsonl"))
+        assert mapped == [[len(range(i, n, 3)) for i in range(3)]]
+
     def test_record_score_independent_of_file_and_jobs(self, tmp_path):
         # A GEMM row's bits can depend on how many rows are multiplied, so
         # records are scored in groups of one length and a fixed row count.
@@ -466,6 +517,16 @@ class TestUtilityCommands:
         captured = capsys.readouterr()
         assert "line 2: not valid UTF-8" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("value", ["9" * 5001, "[" * 200_000 + "]" * 200_000],
+                             ids=["long_integer", "deep_nesting"])
+    def test_metrics_value_beyond_parser_limits_exits_1(self, tmp_path, capsys, value):
+        path = tmp_path / "ranks.jsonl"
+        path.write_text('{"query_id": "a", "rank": 1}\n{"query_id": "b", "rank": ' + value
+                        + "}\n", encoding="utf-8")
+        assert main(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 2: unsupported JSON" in captured.err and captured.out == ""
+
     def test_sample_size_command(self, capsys):
         assert main(["sample-size", "394471"]) == 0
         assert capsys.readouterr().out.strip() == "384"
@@ -531,6 +592,17 @@ class TestArgumentParsing:
             build_parser().parse_args(["score", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bootstrap", "train"])
+    def test_stages_without_a_pool_take_no_jobs_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rule-filter", "score", "partition", "run"])
+    def test_jobs_flag_accepted(self, command):
+        assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
 
     @pytest.mark.parametrize("command", [["metrics", "ranks.jsonl"], ["sample-size", "100"]],
                              ids=["metrics", "sample-size"])

@@ -127,6 +127,58 @@ class TestReadJsonl:
         with pytest.raises(CorpusError, match=f"^line 1: .*{message}"):
             list(read_jsonl(f))
 
+    @pytest.mark.parametrize("value, message", [
+        ("9" * 5001, "Exceeds the limit"),
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth"),
+    ], ids=["long_integer", "deep_nesting"])
+    @pytest.mark.parametrize("pad", ["", "\xa0"], ids=["bare", "padded"])
+    def test_value_beyond_parser_limits_names_its_line(self, tmp_path, value, message, pad):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y"}',
+                         pad + '{"id":"b","comment":"x","code":"y","extra":' + value + "}"])
+        with pytest.raises(CorpusError, match=f"^line 2: unsupported JSON: {message}") as info:
+            list(read_jsonl(f))
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"stage": "upstream", "action": "kept", "note": "keep me"},
+        {"action": "x"},
+        {"stage": "rule"},
+        {"stage": 1, "action": "x"},
+        {"stage": "rule", "action": None},
+        {"stage": "rule", "action": "x", "rule_id": 5},
+        {"stage": "rule", "action": "x", "before": ["a"]},
+        {"stage": "rule", "action": "x", "after": True},
+    ], ids=["unknown_key", "missing_stage", "missing_action", "int_stage", "null_action",
+            "int_rule_id", "list_before", "bool_after"])
+    def test_provenance_entry_off_schema_names_its_line(self, tmp_path, entry):
+        f = tmp_path / "in.jsonl"
+        ok = {"stage": "rule", "action": "retained"}
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y"}',
+                         json.dumps({"id": "b", "comment": "x", "code": "y",
+                                     "provenance": [ok, entry]})])
+        with pytest.raises(CorpusError, match="^line 2: provenance entries hold a string") as info:
+            list(read_jsonl(f))
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("literal", ["{}", "false", "0", '""', '{"stage": "rule"}'])
+    def test_provenance_that_is_not_an_array_rejected(self, tmp_path, literal):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y","provenance":[]}',
+                         '{"id":"b","comment":"x","code":"y","provenance":' + literal + "}"])
+        with pytest.raises(CorpusError, match='^line 2: field "provenance" must be an array'):
+            list(read_jsonl(f))
+
+    def test_null_optional_provenance_field_reads_as_absent(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        entry = {"stage": "rule", "action": "retained", "rule_id": None, "before": None,
+                 "after": None}
+        _write_lines(f, [json.dumps({"id": "a", "comment": "x", "code": "y",
+                                     "provenance": [entry]})])
+        (rec,) = read_jsonl(f)
+        assert rec.provenance == [ProvenanceEntry("rule", "retained")]
+        assert rec.to_json_obj()["provenance"] == [{"stage": "rule", "action": "retained"}]
+
     @pytest.mark.parametrize("extra", [{}, {"repo": "r", "stars": 3, "tags": ["a"]}])
     def test_slotted_record_round_trips_with_and_without_extra_fields(self, tmp_path, extra):
         f = tmp_path / "in.jsonl"

@@ -145,6 +145,15 @@ class TestStoredRankFile:
         with pytest.raises(ValueError, match="^line 2: not valid UTF-8$"):
             read_rank_file(path)
 
+    @pytest.mark.parametrize("value", ["9" * 5001, "[" * 200_000 + "]" * 200_000],
+                             ids=["long_integer", "deep_nesting"])
+    def test_value_beyond_parser_limits_named_in_value_error(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"query_id": "q0", "rank": 1}\n{"query_id": "q1", "rank": ' + value
+                        + "}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 2: unsupported JSON: "):
+            read_rank_file(path)
+
     def test_crlf_and_padded_lines(self, tmp_path):
         path = tmp_path / "ranks.jsonl"
         path.write_bytes(b'{"query_id": "q0", "rank": 1}\r\n\r\n\x0c{"query_id": "q1"}\x0c\r\n')
