@@ -23,12 +23,13 @@ from .corpus import (
     ProvenanceEntry,
     Record,
     extract_first_sentence,
+    iter_lines,
     prepare_bootstrap,
     read_jsonl,
     write_jsonl,
 )
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
-from .rules import Ruleset, apply_ruleset
+from .rules import apply_ruleset, ruleset_from_config
 from .threshold import partition
 from .vae import TrainingError, reconstruction_loss, train
 from .vocab import Vocabulary, build_vocab, tokenize
@@ -59,24 +60,16 @@ def _write_json(obj: dict, path) -> None:
 # ----------------------------------------------------------------------
 
 
-def filter_comment(ruleset: Ruleset, raw_comment: str):
-    """First-sentence extraction followed by the ruleset; pure per record."""
-    first = extract_first_sentence(raw_comment)
-    return first, apply_ruleset(ruleset, first)
-
-
-def run_rule_filter(
-    cfg: PipelineConfig, extra_disabled: tuple[str, ...] = (), quiet: bool = False
-) -> dict:
-    ruleset = cfg.build_ruleset(extra_disabled)
-    enabled = [r for r in ruleset.rules if r.enabled]
-    modified = {r.id: 0 for r in enabled if r.kind == "transform"}
-    discarded = {r.id: 0 for r in enabled if r.kind == "reject"}
+def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
+    ruleset = ruleset_from_config(cfg.ruleset.order, cfg.ruleset.disabled)
+    modified = {r.id: 0 for r in ruleset.rules if r.kind == "transform"}
+    discarded = {r.id: 0 for r in ruleset.rules if r.kind == "reject"}
 
     retained_records: list[Record] = []
     rejected_records: list[Record] = []
     for record in read_jsonl(cfg.paths.input):
-        first, outcome = filter_comment(ruleset, record.comment)
+        first = extract_first_sentence(record.comment)
+        outcome = apply_ruleset(ruleset, first)
         if first != record.comment:
             record.provenance.append(
                 ProvenanceEntry("extract", "transformed", before=record.comment, after=first)
@@ -104,7 +97,7 @@ def run_rule_filter(
     n_input = n_retained + len(rejected_records)
     rows = []
     running = n_input
-    for rule in enabled:
+    for rule in ruleset.rules:
         if rule.kind == "transform":
             rows.append({"rule": rule.id, "kind": "transform",
                          "modified": modified[rule.id], "retained": running})
@@ -128,13 +121,12 @@ def run_rule_filter(
 
 
 def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
-    ruleset = cfg.build_ruleset(extra_disabled=("interrogation",))
+    ruleset = ruleset_from_config(cfg.ruleset.order, (*cfg.ruleset.disabled, "interrogation"))
     stats = BootstrapStats()
-    with open(cfg.paths.titles, "r", encoding="utf-8") as fh:
-        titles = (line.rstrip("\n") for line in fh)
-        with atomic_open(cfg.paths.bootstrap) as out:
-            for query in prepare_bootstrap(titles, ruleset, stats):
-                out.write(query + "\n")
+    titles = (line.rstrip("\r\n") for _, line in iter_lines(cfg.paths.titles))
+    with atomic_open(cfg.paths.bootstrap) as out:
+        for query in prepare_bootstrap(titles, ruleset, stats):
+            out.write(query + "\n")
     _diag(
         quiet,
         f"bootstrap: kept {stats.kept}/{stats.total} titles "
@@ -149,8 +141,7 @@ def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
 
 
 def run_train(cfg: PipelineConfig, quiet=False):
-    with open(cfg.paths.bootstrap, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for _, line in iter_lines(cfg.paths.bootstrap) if not line.isspace()]
     token_lists = [tokenize(line) for line in lines]
     vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
     sequences = [vocab.encode(tokens, cfg.tokenizer.max_len) for tokens in token_lists]
@@ -349,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> PipelineConfig:
     """The configured pipeline with every given flag applied to its field.
 
-    A flag overrides the [paths] or [threshold] field named by its dest.
+    A flag overrides the [paths] or [threshold] field named by its dest;
+    ``--disable-rule`` ids are added to [ruleset] disabled.
     """
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
@@ -359,11 +351,12 @@ def _load_cfg(args) -> PipelineConfig:
         target = getattr(cfg, section)
         overrides = {f.name: given[f.name] for f in dataclasses.fields(target) if f.name in given}
         setattr(cfg, section, dataclasses.replace(target, **overrides))
+    cfg.ruleset.disabled += tuple(given.get("disable_rule", ()))
     return cfg
 
 
 def cmd_rule_filter(args) -> int:
-    run_rule_filter(_load_cfg(args), tuple(args.disable_rule), args.quiet)
+    run_rule_filter(_load_cfg(args), args.quiet)
     return 0
 
 
@@ -389,7 +382,7 @@ def cmd_partition(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    run_rule_filter(cfg, quiet=args.quiet)
+    run_rule_filter(cfg, args.quiet)
     run_train(cfg, args.quiet)
     run_score(cfg, args.jobs, args.quiet)
     run_partition(cfg, quiet=args.quiet)

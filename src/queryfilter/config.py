@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .rules import DEFAULT_RULE_ORDER, Ruleset, ruleset_from_config
+from .rules import DEFAULT_RULE_ORDER
 from .vae import VaeConfig
 
 
@@ -60,11 +60,6 @@ class PipelineConfig:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     vae: VaeConfig = field(default_factory=lambda: VaeConfig(vocab_size=10_000))
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
-
-    def build_ruleset(self, extra_disabled: tuple[str, ...] = ()) -> Ruleset:
-        return ruleset_from_config(
-            self.ruleset.order, set(self.ruleset.disabled) | set(extra_disabled)
-        )
 
 
 # INI section -> (PipelineConfig field it fills, "" for the top level; keys

@@ -125,13 +125,11 @@ def _record_from_obj(obj: dict, line_no: int) -> Record:
     return Record(id_, comment, code, provenance, score, extra)
 
 
-def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+def iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
 
-    Lines end at "\\n" (so CRLF files parse: "\\r" is JSON whitespace) and
-    must be UTF-8.  Blank lines are skipped.  A line that is not valid UTF-8,
-    not JSON, past the parser's limits (integer digits, nesting depth) or
-    not a JSON object raises :class:`CorpusError` naming it.
+    Lines end at "\\n" and keep it; a CRLF line also keeps its "\\r".  A
+    line that is not valid UTF-8 raises :class:`CorpusError` naming it.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -139,22 +137,34 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise CorpusError("not valid UTF-8", line_no) from None
-            if line.isspace():
-                continue
+            yield line_no, line
+
+
+def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    Lines are read by :func:`iter_lines`, so CRLF files parse ("\\r" is JSON
+    whitespace).  Blank lines are skipped.  A line that is not valid UTF-8,
+    not JSON, past the parser's limits (integer digits, nesting depth) or
+    not a JSON object raises :class:`CorpusError` naming it.
+    """
+    for line_no, line in iter_lines(path):
+        if line.isspace():
+            continue
+        try:
             try:
-                try:
-                    obj = _DECODE(line)
-                except json.JSONDecodeError:
-                    # str.strip() removes more than JSON whitespace, e.g. "\x0c" and
-                    # "\xa0"; json.loads also names a leading BOM in its message.
-                    obj = json.loads(line.strip())
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
-            except (ValueError, RecursionError) as exc:
-                raise CorpusError(f"unsupported JSON: {exc}", line_no) from exc
-            if type(obj) is not dict:
-                raise CorpusError("each line must be a JSON object", line_no)
-            yield line_no, obj
+                obj = _DECODE(line)
+            except json.JSONDecodeError:
+                # str.strip() removes more than JSON whitespace, e.g. "\x0c" and
+                # "\xa0"; json.loads also names a leading BOM in its message.
+                obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"malformed JSON: {exc.msg}", line_no) from exc
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"unsupported JSON: {exc}", line_no) from exc
+        if type(obj) is not dict:
+            raise CorpusError("each line must be a JSON object", line_no)
+        yield line_no, obj
 
 
 def read_jsonl(path) -> Iterator[Record]:
@@ -233,17 +243,14 @@ def prepare_bootstrap(titles: Iterable[str], ruleset, stats: BootstrapStats | No
 
     Titles that do not start with "how to" (case-insensitive) are dropped.
     Surviving titles lose that prefix and any trailing question mark, then
-    pass through ``ruleset``; the ruleset must not contain an enabled
-    interrogation rule, since stripped questions legitimately carry no
-    question mark but pre-strip remnants may.
+    pass through ``ruleset``; the ruleset must not contain the interrogation
+    rule, since stripped questions legitimately carry no question mark but
+    pre-strip remnants may.
     """
     from .rules import apply_ruleset
 
-    for rule in ruleset.rules:
-        if rule.id == "interrogation" and rule.enabled:
-            raise ValueError(
-                "bootstrap preparation requires a ruleset without the interrogation rule"
-            )
+    if "interrogation" in ruleset.rule_ids():
+        raise ValueError("bootstrap preparation requires a ruleset without the interrogation rule")
     if stats is None:
         stats = BootstrapStats()
     for title in titles:

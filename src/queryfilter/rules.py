@@ -2,7 +2,7 @@
 
 Two kinds of rules exist: *transform* rules rewrite the text (dropping
 detachable noise such as HTML tags) and *reject* rules discard it outright.
-A ruleset runs its enabled rules in list order: each transform rewrites the
+A ruleset holds the rules that run, in order: each transform rewrites the
 current text and each reject predicate tests it; the first matching reject
 wins.  The default order puts every transform before every reject.
 """
@@ -10,8 +10,8 @@ wins.  The default order puts every transform before every reject.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
 _JAVADOC_RE = re.compile(r"@[A-Za-z]")
@@ -92,12 +92,10 @@ def reject_short(text: str) -> bool:
     return len(text.split()) <= 2
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     kind: str  # "transform" | "reject"
     fn: Callable
-    enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -123,13 +121,9 @@ class RuleOutcome:
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Immutable ordered rule list; evaluation order is list order."""
+    """Immutable ordered list of the rules that run; evaluation order is list order."""
 
     rules: tuple[Rule, ...]
-    # (id, is_transform, fn) of each enabled rule, in list order
-    _enabled: tuple[tuple[str, bool, Callable], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         ids = [rule.id for rule in self.rules]
@@ -138,10 +132,6 @@ class Ruleset:
         for rule in self.rules:
             if rule.kind not in ("transform", "reject"):
                 raise ValueError(f'rule "{rule.id}": unknown kind "{rule.kind}"')
-        enabled = tuple(
-            (rule.id, rule.kind == "transform", rule.fn) for rule in self.rules if rule.enabled
-        )
-        object.__setattr__(self, "_enabled", enabled)
 
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(rule.id for rule in self.rules)
@@ -149,19 +139,19 @@ class Ruleset:
 
 # Builtin rules in default order: transforms first, then rejects.  Reject
 # order matters only for which rule gets named on multi-feature comments.
-BUILTIN_RULES: tuple[tuple[str, str, Callable], ...] = (
-    ("html_tags", "transform", strip_html_tags),
-    ("parentheses", "transform", strip_parentheses),
-    ("javadoc_tags", "reject", reject_javadoc),
-    ("urls", "reject", reject_url),
-    ("non_english", "reject", reject_non_english),
-    ("punctuation", "reject", reject_punctuation_only),
-    ("interrogation", "reject", reject_interrogation),
-    ("short_sentence", "reject", reject_short),
+BUILTIN_RULES: tuple[Rule, ...] = (
+    Rule("html_tags", "transform", strip_html_tags),
+    Rule("parentheses", "transform", strip_parentheses),
+    Rule("javadoc_tags", "reject", reject_javadoc),
+    Rule("urls", "reject", reject_url),
+    Rule("non_english", "reject", reject_non_english),
+    Rule("punctuation", "reject", reject_punctuation_only),
+    Rule("interrogation", "reject", reject_interrogation),
+    Rule("short_sentence", "reject", reject_short),
 )
 
-DEFAULT_RULE_ORDER = tuple(rule_id for rule_id, _, _ in BUILTIN_RULES)
-_BUILTIN_BY_ID = {rule_id: (kind, fn) for rule_id, kind, fn in BUILTIN_RULES}
+DEFAULT_RULE_ORDER = tuple(rule.id for rule in BUILTIN_RULES)
+_BUILTIN_BY_ID = {rule.id: rule for rule in BUILTIN_RULES}
 
 
 def default_ruleset(disabled: Iterable[str] = ()) -> Ruleset:
@@ -170,7 +160,7 @@ def default_ruleset(disabled: Iterable[str] = ()) -> Ruleset:
 
 
 def ruleset_from_config(order: Iterable[str], disabled: Iterable[str] = ()) -> Ruleset:
-    """Build a ruleset of builtin rules in a configured order.
+    """Build a ruleset of the builtin rules in ``order``, leaving out ``disabled``.
 
     Every disabled id must name a builtin rule; it need not be in ``order``.
     """
@@ -178,18 +168,16 @@ def ruleset_from_config(order: Iterable[str], disabled: Iterable[str] = ()) -> R
     unknown = disabled_set - set(_BUILTIN_BY_ID)
     if unknown:
         raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    rules = []
+    order = tuple(order)
+    if len(set(order)) != len(order):
+        raise ValueError("rule ids must be unique")
     for rule_id in order:
         if rule_id not in _BUILTIN_BY_ID:
             raise ValueError(f'unknown rule id "{rule_id}"')
-        kind, fn = _BUILTIN_BY_ID[rule_id]
-        rules.append(Rule(rule_id, kind, fn, enabled=rule_id not in disabled_set))
-    return Ruleset(tuple(rules))
+    return Ruleset(tuple(_BUILTIN_BY_ID[i] for i in order if i not in disabled_set))
 
 
-def register_rule(
-    ruleset: Ruleset, rule_id: str, kind: str, fn: Callable, enabled: bool = True
-) -> Ruleset:
+def register_rule(ruleset: Ruleset, rule_id: str, kind: str, fn: Callable) -> Ruleset:
     """Return a new ruleset with the rule appended within its kind group.
 
     Transforms are inserted before the first reject rule; rejects go last.
@@ -199,7 +187,7 @@ def register_rule(
     """
     if rule_id in ruleset.rule_ids():
         raise ValueError(f'rule id "{rule_id}" already registered')
-    new_rule = Rule(rule_id, kind, fn, enabled=enabled)
+    new_rule = Rule(rule_id, kind, fn)
     rules = list(ruleset.rules)
     if kind == "transform":
         insert_at = len(rules)
@@ -214,7 +202,7 @@ def register_rule(
 
 
 def apply_ruleset(ruleset: Ruleset, text: str) -> RuleOutcome:
-    """Run the enabled rules over ``text`` in list order.
+    """Run the ruleset's rules over ``text`` in list order.
 
     A reject rule sees the text as transformed by the rules before it; the
     first match wins and names the rule.  If no reject fires, the outcome is ``transformed`` when the text
@@ -222,8 +210,8 @@ def apply_ruleset(ruleset: Ruleset, text: str) -> RuleOutcome:
     """
     steps: list[TransformStep] = []
     current = text
-    for rule_id, is_transform, fn in ruleset._enabled:
-        if is_transform:
+    for rule_id, kind, fn in ruleset.rules:
+        if kind == "transform":
             changed = fn(current)
             if changed != current:
                 steps.append(TransformStep(rule_id, current, changed))

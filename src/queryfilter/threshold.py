@@ -105,8 +105,13 @@ def fit_em_gmm(
     both standard deviations at the overall standard deviation, and the
     mixture weight at 0.5.  Iteration stops when the log-likelihood gain
     falls below ``tol`` or after ``max_iter`` rounds.  The fit is
-    deterministic.
+    deterministic.  ``max_iter`` must be at least 1 and ``tol`` a finite
+    number >= 0; otherwise :class:`ValueError`.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 10:
         raise ValueError(
@@ -168,7 +173,10 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
     """Lloyd's algorithm on 1-D losses with k=2, centers seeded at min/max.
 
     Returns (low_center, high_center); assignment ties go to the low center.
+    ``max_iter`` must be at least 1; otherwise :class:`ValueError`.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(losses, dtype=np.float64)
     if x.size == 0:
         raise ValueError("kmeans needs at least one sample")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from queryfilter.cli import main
-from queryfilter.corpus import read_jsonl
+from queryfilter.corpus import extract_first_sentence, read_jsonl
 from queryfilter.metrics import answered_at_k, mrr, sample_size
 from queryfilter.rules import (
     apply_ruleset,
@@ -362,12 +362,10 @@ def test_criterion_10_extended_corpus_retention(tmp_path):
         records = list(read_jsonl(corpus_path))
         n = len(records)
         assert n > 0
-        from queryfilter.cli import filter_comment
-
         ruleset = default_ruleset()
         survivors = []
         for record in records:
-            _, outcome = filter_comment(ruleset, record.comment)
+            outcome = apply_ruleset(ruleset, extract_first_sentence(record.comment))
             if outcome.action != "rejected":
                 survivors.append(record)
         rule_fraction = len(survivors) / n

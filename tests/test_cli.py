@@ -138,6 +138,19 @@ class TestRuleFilterCommand:
         retained = [r.id for r in read_jsonl(tmp_path / "rule_retained.jsonl")]
         assert retained == ["s1"]
 
+    def test_disabled_in_config_and_by_flag_both_left_out(self, tmp_path):
+        write_pairs(tmp_path / "pairs.jsonl",
+                    [("s1", "quick sort"), ("u1", "See www.example.com for the format")])
+        cfg = small_config(tmp_path, extra="[ruleset]\ndisabled = urls\n")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet",
+                     "--disable-rule", "short_sentence"]) == 0
+        retained = [r.id for r in read_jsonl(tmp_path / "rule_retained.jsonl")]
+        assert retained == ["s1", "u1"]
+        stats = json.loads((tmp_path / "rule_stats.json").read_text())
+        rules = [row["rule"] for row in stats["rows"]]
+        assert "urls" not in rules and "short_sentence" not in rules
+        assert len(rules) == 6
+
     def test_stats_rows_follow_configured_order(self, tmp_path):
         write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
         cfg = small_config(
@@ -234,6 +247,27 @@ class TestBootstrapCommand:
         lines = (tmp_path / "bootstrap.txt").read_text().splitlines()
         assert lines == ["convert string to int", "read a file line by line"]
 
+    def test_crlf_titles_match_lf_titles(self, tmp_path):
+        titles = ["How to convert string to int?", "Why is my loop slow?",
+                  "How to read a file line by line", "how to  sort a list ?"]
+        cfg = small_config(tmp_path)
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            (tmp_path / "titles.txt").write_bytes(ending.join(titles).encode() + ending.encode())
+            assert main(["bootstrap", "--config", str(cfg), "--quiet"]) == 0
+            outputs.append((tmp_path / "bootstrap.txt").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == b"convert string to int\nread a file line by line\nsort a list\n"
+
+    def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "titles.txt").write_bytes(
+            b"How to convert string to int?\nHow to read a file \xff line by line\n"
+        )
+        cfg = small_config(tmp_path)
+        assert main(["bootstrap", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 2: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "bootstrap.txt").exists()
+
 
 @pytest.fixture()
 def trained_pipeline(tmp_path):
@@ -277,6 +311,15 @@ class TestTrainCommand:
         (tmp_path / "bootstrap.txt").write_text("", encoding="utf-8")
         cfg = small_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--quiet"]) == 3
+
+    def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "bootstrap.txt").write_bytes(
+            b"convert string to int\n\nread a file \xff line by line\n"
+        )
+        cfg = small_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 3: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_same_seed_same_checkpoint(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
@@ -445,6 +488,19 @@ class TestPartitionCommand:
         (tmp_path / "scored.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg = small_config(tmp_path)
         assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
+        assert not (tmp_path / "retained.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, strategy", [("max_iter = 0", "gmm"),
+                                                   ("tol = -1", "gmm"),
+                                                   ("max_iter = 0", "kmeans2")])
+    def test_fit_that_cannot_iterate_exits_1(self, tmp_path, capsys, setting, strategy):
+        lines = [json.dumps({"id": f"r{i}", "comment": "c", "code": "x",
+                             "score": (1.0 if i % 2 else 5.0) + 0.01 * i})
+                 for i in range(20)]
+        (tmp_path / "scored.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = small_config(tmp_path, extra=f"[threshold]\n{setting}\n")
+        assert main(["partition", "--config", str(cfg), "--quiet", "--strategy", strategy]) == 1
+        assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "retained.jsonl").exists()
 
     def test_percentile_partition_and_report(self, trained_pipeline):

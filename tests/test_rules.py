@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from queryfilter.rules import (
+    DEFAULT_RULE_ORDER,
     _TAG_RE,
     _collapse,
     apply_ruleset,
@@ -154,6 +155,21 @@ class TestApplyRuleset:
         ruleset = ruleset_from_config(("urls", "parentheses"), ("urls", "parentheses"))
         outcome = apply_ruleset(ruleset, text)
         assert (outcome.action, outcome.text) == ("kept", text)
+
+
+class TestRulesetFromConfig:
+    def test_disabled_rule_left_out(self):
+        ruleset = ruleset_from_config(DEFAULT_RULE_ORDER, {"urls"})
+        assert "urls" not in ruleset.rule_ids()
+        assert ruleset.rule_ids() == tuple(i for i in DEFAULT_RULE_ORDER if i != "urls")
+
+    def test_unknown_disabled_id_rejected(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            ruleset_from_config(DEFAULT_RULE_ORDER, {"urls", "nonsense"})
+
+    def test_repeated_order_id_rejected_even_when_disabled(self):
+        with pytest.raises(ValueError, match="unique"):
+            ruleset_from_config(("urls", "parentheses", "urls"), {"urls"})
 
 
 class TestRegisterRule:

@@ -88,6 +88,24 @@ class TestFitEmGmm:
         assert fit_em_gmm(x) == fit_em_gmm(x)
 
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            fit_em_gmm(x, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+    def test_tol_not_finite_non_negative_rejected(self, tol):
+        x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            fit_em_gmm(x, tol=tol)
+
+    def test_one_iteration_and_zero_tol_accepted(self):
+        x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
+        assert len(fit_em_gmm(x, max_iter=1).loglik_trace) == 1
+        assert fit_em_gmm(x, tol=0.0).mu_q < 1.0
+
+
 class TestDecisionThreshold:
     def test_symmetric_midpoint(self):
         fit = GmmFit(0.5, 0.0, 1.0, 4.0, 1.0, 0.0, ())
@@ -124,6 +142,11 @@ class TestKmeansTwo:
     def test_constant_data(self):
         low, high = kmeans_two([3.0] * 5)
         assert low == high == 3.0
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            kmeans_two([1.0, 1.1, 0.9, 9.0, 9.1], max_iter=max_iter)
 
 
 class TestPartition:
