@@ -14,7 +14,7 @@ rng = np.random.default_rng(1)
 qualified = rng.normal(1.2, 0.3, 600)
 unqualified = rng.normal(4.0, 0.8, 400)
 losses = np.abs(np.concatenate([qualified, unqualified]))
-scored = [(f"c{i}", float(v)) for i, v in enumerate(losses)]
+ids = [f"c{i}" for i in range(len(losses))]
 
 fit = fit_em_gmm(losses)
 print("EM mixture fit:")
@@ -30,7 +30,7 @@ for strategy, kwargs in [
     ("percentile", {"p": 0.5}),
     ("percentile", {"p": 1.0}),  # keep everything = rule-filter-only ablation
 ]:
-    result = partition(scored, strategy=strategy, **kwargs)
+    result = partition(ids, losses, strategy=strategy, **kwargs)
     label = strategy + (f"({kwargs['p']})" if "p" in kwargs else "")
     print(
         f"  {label:16} retained {result.report['n_retained']:5d}"

@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .atomic import atomic_open
-from .vae import VaeConfig, VaeParams, init_params, named_tensors
+from .vae import VaeConfig, VaeParams, empty_params, named_tensors
 
 MAGIC = b"QDVA"
 VERSION = 2  # each GRU is one stacked (w, u, b) triple, see vae.GruWeights
@@ -91,19 +91,20 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
         raise CheckpointError(f"{path}: model/vocabulary mismatch")
 
-    params = init_params(config)
+    params = empty_params(config)
     current = {name: t for name, t in named_tensors(params)}
     expected_names = list(current.keys())
     if [name for name, _ in manifest] != expected_names:
         raise CheckpointError(f"{path}: tensor manifest does not match model layout")
 
+    payload = memoryview(blob)
     offset = 12 + header_len
     for name, shape in manifest:
         tensor = current[name]
         if list(tensor.shape) != list(shape):
             raise CheckpointError(f"{path}: tensor {name} has unexpected shape {shape}")
         nbytes = tensor.size * 8
-        chunk = blob[offset : offset + nbytes]
+        chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated tensor payload at {name}")
         tensor[...] = np.frombuffer(chunk, dtype="<f8").reshape(tensor.shape)

@@ -4,6 +4,10 @@ Stage outputs are always written to disk so a pipeline can resume per stage;
 diagnostics go to stderr, data to the configured files.  Exit codes: 0 on
 success, 2 for I/O problems, 3 for an empty training corpus, 4 for a
 checkpoint/vocabulary mismatch, 5 for missing scores, 1 otherwise.
+
+The record stages stream: no stage holds its records.  What each keeps that
+grows with the corpus is named in its docstring, with its size per record
+for short ids.
 """
 
 from __future__ import annotations
@@ -11,8 +15,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import multiprocessing
+import os
 import sys
+from array import array
+from typing import Iterator
+
+import numpy as np
 
 from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -24,6 +34,7 @@ from .corpus import (
     Record,
     extract_first_sentence,
     iter_lines,
+    jsonl_writer,
     prepare_bootstrap,
     read_jsonl,
     write_jsonl,
@@ -49,6 +60,35 @@ def _diag(quiet: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _distinct_outputs(retained, rejects) -> None:
+    """Reject a retained and a rejects output that are one file.
+
+    Both are written at once, and two writers on one path would share one
+    temporary file, leaving only one of the outputs.
+    """
+    if os.path.realpath(retained) == os.path.realpath(rejects):
+        raise ValueError(f"retained output {retained} and rejects output {rejects} "
+                         "name the same file")
+
+
+def _reread(path, ids: list) -> Iterator[tuple[int, Record]]:
+    """``(i, record)`` for each record of ``path``, read a second time.
+
+    The first read found ``ids`` there.  A record whose id is not ``ids[i]``,
+    a record past them, or a file that ends before them means the file
+    changed between the reads, and raises :class:`CorpusError`.
+    """
+    i = -1
+    for i, record in enumerate(read_jsonl(path)):
+        if i >= len(ids) or record.id != ids[i]:
+            raise CorpusError(f"{path} changed while it was read: record {i + 1} "
+                              "differs from the first read")
+        yield i, record
+    if i + 1 != len(ids):
+        raise CorpusError(f"{path} changed while it was read: it holds {i + 1} records, "
+                          f"not the {len(ids)} of the first read")
+
+
 def _write_json(obj: dict, path) -> None:
     with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2)
@@ -61,40 +101,48 @@ def _write_json(obj: dict, path) -> None:
 
 
 def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
+    """Apply the ruleset to every record in one streaming pass.
+
+    Each record goes to the retained or the rejects output as soon as the
+    rules decide it, so the only state that grows with the corpus is the
+    duplicate-id set of :func:`read_jsonl`, about 120 B per record.
+    """
+    _distinct_outputs(cfg.paths.rule_retained, cfg.paths.rule_rejects)
     ruleset = ruleset_from_config(cfg.ruleset.order, cfg.ruleset.disabled)
     modified = {r.id: 0 for r in ruleset.rules if r.kind == "transform"}
     discarded = {r.id: 0 for r in ruleset.rules if r.kind == "reject"}
 
-    retained_records: list[Record] = []
-    rejected_records: list[Record] = []
-    for record in read_jsonl(cfg.paths.input):
-        first = extract_first_sentence(record.comment)
-        outcome = apply_ruleset(ruleset, first)
-        if first != record.comment:
-            record.provenance.append(
-                ProvenanceEntry("extract", "transformed", before=record.comment, after=first)
-            )
-        record.comment = first
-        for step in outcome.transforms:
-            modified[step.rule_id] += 1
-            record.provenance.append(
-                ProvenanceEntry("rule", "transformed", rule_id=step.rule_id,
-                                before=step.before, after=step.after)
-            )
-            record.comment = step.after
-        if outcome.action == "rejected":
-            discarded[outcome.rule_id] += 1
-            record.provenance.append(
-                ProvenanceEntry("rule", "rejected", rule_id=outcome.rule_id)
-            )
-            rejected_records.append(record)
-        else:
-            record.comment = outcome.text
-            record.provenance.append(ProvenanceEntry("rule", "retained"))
-            retained_records.append(record)
+    def retained(reject):
+        for record in read_jsonl(cfg.paths.input):
+            first = extract_first_sentence(record.comment)
+            outcome = apply_ruleset(ruleset, first)
+            if first != record.comment:
+                record.provenance.append(
+                    ProvenanceEntry("extract", "transformed", before=record.comment, after=first)
+                )
+            record.comment = first
+            for step in outcome.transforms:
+                modified[step.rule_id] += 1
+                record.provenance.append(
+                    ProvenanceEntry("rule", "transformed", rule_id=step.rule_id,
+                                    before=step.before, after=step.after)
+                )
+                record.comment = step.after
+            if outcome.action == "rejected":
+                discarded[outcome.rule_id] += 1
+                record.provenance.append(
+                    ProvenanceEntry("rule", "rejected", rule_id=outcome.rule_id)
+                )
+                reject(record)
+            else:
+                record.comment = outcome.text
+                record.provenance.append(ProvenanceEntry("rule", "retained"))
+                yield record
 
-    n_retained = len(retained_records)
-    n_input = n_retained + len(rejected_records)
+    with jsonl_writer(cfg.paths.rule_rejects) as reject:
+        n_retained = write_jsonl(retained(reject), cfg.paths.rule_retained)
+
+    n_input = n_retained + sum(discarded.values())
     rows = []
     running = n_input
     for rule in ruleset.rules:
@@ -108,8 +156,6 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
     stats = {"input": n_input, "retained": n_retained,
              "rejected": n_input - n_retained, "rows": rows}
 
-    write_jsonl(retained_records, cfg.paths.rule_retained)
-    write_jsonl(rejected_records, cfg.paths.rule_rejects)
     _write_json(stats, cfg.paths.rule_stats)
     _diag(quiet, f"rule-filter: {n_retained}/{n_input} records retained")
     return stats
@@ -185,30 +231,44 @@ def _score_worker(share):
 
 
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
+    """Attach a reconstruction-loss score to every record, in two passes.
+
+    Pass 1 keeps each record's id and its encoded comment as an ``array('i')``
+    (4 B per token plus about 64 B) and scores them all, so length groups span
+    the whole file; the stage peaks at about 255 B per record.  Pass 2
+    re-reads the records and writes each one with its score.
+    """
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
-    records = list(read_jsonl(cfg.paths.rule_retained))
-    encoded = [vocab.encode(tokenize(r.comment), vae_cfg.max_len) for r in records]
+    ids, encoded = [], []
+    for record in read_jsonl(cfg.paths.rule_retained):
+        ids.append(record.id)
+        encoded.append(array("i", vocab.encode(tokenize(record.comment), vae_cfg.max_len)))
 
-    empty = sum(1 for ids in encoded if len(ids) == 2)
+    empty = sum(1 for seq in encoded if len(seq) == 2)
     if empty:
         _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
     if jobs == 1:
-        scores = reconstruction_loss(params, encoded).tolist()
+        scores = reconstruction_loss(params, encoded)
     else:
         # Worker i scores the records i::jobs.  A score depends only on its
         # record's ids, so the split changes no score.
-        scores = [0.0] * len(encoded)
+        scores = np.empty(len(encoded))
         with multiprocessing.Pool(jobs, initializer=_score_init, initargs=(params,)) as pool:
             parts = pool.map(_score_worker, [encoded[i::jobs] for i in range(jobs)], chunksize=1)
         for i, part in enumerate(parts):
-            scores[i::jobs] = part.tolist()
-    for record, score in zip(records, scores):
-        record.score = score
-    write_jsonl(records, cfg.paths.scored)
-    _diag(quiet, f"score: {len(records)} records scored")
-    return len(records)
+            scores[i::jobs] = part
+    del encoded  # pass 2 needs only the ids and the scores
+
+    def scored():
+        for i, record in _reread(cfg.paths.rule_retained, ids):
+            record.score = scores.item(i)
+            yield record
+
+    write_jsonl(scored(), cfg.paths.scored)
+    _diag(quiet, f"score: {len(ids)} records scored")
+    return len(ids)
 
 
 # ----------------------------------------------------------------------
@@ -217,39 +277,54 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
 
 
 def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bool = False) -> dict:
-    records = list(read_jsonl(cfg.paths.scored))
-    if not records:
+    """Split scored records at the fitted threshold, in two passes.
+
+    Pass 1 keeps each record's id and score (an id list and an ``array('d')``)
+    and fits the threshold.  Pass 2 re-reads the records and streams each one
+    to the retained or the rejects output.  With the second read's id set the
+    stage peaks at about 210 B per record.
+    """
+    _distinct_outputs(cfg.paths.retained, cfg.paths.semantic_rejects)
+    ids, scores = [], array("d")
+    for record in read_jsonl(cfg.paths.scored):
+        ids.append(record.id)
+        scores.append(math.nan if record.score is None else record.score)
+    if not ids:
         raise ValueError("nothing to partition: input is empty")
-    missing = [r.id for r in records if r.score is None]
-    if missing:
+    missing = np.flatnonzero(np.isnan(scores))  # read_jsonl admits finite scores only
+    if missing.size:
         raise MissingScoreError(
-            f"{len(missing)} records lack scores (first: {missing[0]}); run the score stage first"
+            f"{missing.size} records lack scores (first: {ids[missing[0]]}); "
+            "run the score stage first"
         )
     result = partition(
-        [(r.id, r.score) for r in records],
+        ids,
+        scores,
         strategy=cfg.threshold.strategy,
         p=cfg.threshold.p,
         max_iter=cfg.threshold.max_iter,
         tol=cfg.threshold.tol,
     )
-    keep = set(result.retained)
-    retained_records, rejected_records = [], []
-    for record in records:
-        if record.id in keep:
-            record.provenance.append(ProvenanceEntry("semantic", "retained"))
-            if strip_provenance:
-                record.provenance = []
-            retained_records.append(record)
-        else:
-            record.provenance.append(ProvenanceEntry("semantic", "rejected"))
-            rejected_records.append(record)
-    write_jsonl(retained_records, cfg.paths.retained)
-    write_jsonl(rejected_records, cfg.paths.semantic_rejects)
+
+    def retained(reject):
+        keep = result.keep
+        for i, record in _reread(cfg.paths.scored, ids):
+            if keep[i]:
+                record.provenance.append(ProvenanceEntry("semantic", "retained"))
+                if strip_provenance:
+                    record.provenance = []
+                yield record
+            else:
+                record.provenance.append(ProvenanceEntry("semantic", "rejected"))
+                reject(record)
+
+    with jsonl_writer(cfg.paths.semantic_rejects) as reject:
+        n_retained = write_jsonl(retained(reject), cfg.paths.retained)
     _write_json(result.report, cfg.paths.report)
     _diag(
         quiet,
         f"partition[{cfg.threshold.strategy}]: retained "
-        f"{len(retained_records)}/{len(records)} "
+        f"{n_retained}/{len(ids)} "
         f"({100.0 * result.report['retained_fraction']:.1f}%)",
     )
     return result.report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ class GmmFit:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    retained: list
+    keep: np.ndarray  # bool, one per input position: True where retained
+    retained: list  # ids, in input order
     discarded: list
     report: dict
 
@@ -193,24 +195,28 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
 
 
 def partition(
-    scored: Sequence[tuple],
+    ids: Sequence[str],
+    losses: Sequence[float],
     strategy: str = "gmm",
     p: float | None = None,
     max_iter: int = 200,
     tol: float = 1e-8,
 ) -> PartitionResult:
-    """Split (id, loss) pairs into retained and discarded groups.
+    """Split records into retained and discarded groups by their losses.
 
-    Strategies: ``gmm`` retains losses at or below the mixture dividing
-    point; ``percentile`` retains the floor(p * n) smallest losses with
-    boundary ties broken by ascending id; ``kmeans2`` retains the cluster
-    around the lower center.  Returned id lists preserve input order; the
-    report carries the strategy parameters and counts.
+    ``losses[i]`` is the loss of the record ``ids[i]``; a compact sequence
+    such as ``array('d')`` is read without copying.  Strategies: ``gmm``
+    retains losses at or below the mixture dividing point; ``percentile``
+    retains the floor(p * n) smallest losses with boundary ties broken by
+    ascending id; ``kmeans2`` retains the cluster around the lower center.
+    Returned id lists preserve input order; the report carries the strategy
+    parameters and counts.
     """
-    if not scored:
+    if len(ids) != len(losses):
+        raise ValueError("ids and losses differ in length")
+    if len(ids) == 0:
         raise ValueError("nothing to partition")
-    ids = [item[0] for item in scored]
-    losses = np.asarray([float(item[1]) for item in scored])
+    losses = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(losses).all():
         raise ValueError("scores must be finite")
 
@@ -244,9 +250,9 @@ def partition(
     else:
         raise ValueError(f'unknown partition strategy "{strategy}"')
 
-    retained = [ids[i] for i in range(len(ids)) if keep_mask[i]]
-    discarded = [ids[i] for i in range(len(ids)) if not keep_mask[i]]
+    retained = list(compress(ids, keep_mask))
+    discarded = list(compress(ids, ~keep_mask))
     report["n_retained"] = len(retained)
     report["n_discarded"] = len(discarded)
     report["retained_fraction"] = len(retained) / len(ids)
-    return PartitionResult(retained=retained, discarded=discarded, report=report)
+    return PartitionResult(keep=keep_mask, retained=retained, discarded=discarded, report=report)

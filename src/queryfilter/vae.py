@@ -67,8 +67,8 @@ class VaeConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be a finite positive number")
         if self.kl_anneal_steps < 0:
             raise ValueError("kl_anneal_steps must be >= 0")
 
@@ -144,32 +144,44 @@ def named_tensors(params: VaeParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def init_params(config: VaeConfig) -> VaeParams:
-    """Uniform initialization in [-0.08, 0.08], reproducible from the seed."""
+def empty_params(config: VaeConfig) -> VaeParams:
+    """Uninitialized tensors of the shapes ``config`` sets, for a loader to fill."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
-
-    def u(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.08, 0.08, size=shape)
+    v, e, h, k = config.vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
 
     def gru(in_dim: int) -> GruWeights:
-        # Drawn gate by gate (update, reset, candidate), each as w, u, b.
-        h = config.hidden_dim
-        gates = [(u(h, in_dim), u(h, h), u(h)) for _ in range(3)]
-        return GruWeights(*(np.concatenate(parts) for parts in zip(*gates)))
+        return GruWeights(np.empty((3 * h, in_dim)), np.empty((3 * h, h)), np.empty(3 * h))
 
     return VaeParams(
-        embedding=u(config.vocab_size, config.embed_dim),
-        enc_fwd=gru(config.embed_dim),
-        enc_bwd=gru(config.embed_dim),
-        latent_w=u(2 * config.latent_dim, config.hidden_dim),
-        latent_b=u(2 * config.latent_dim),
-        dec_init_w=u(config.hidden_dim, config.latent_dim),
-        dec_init_b=u(config.hidden_dim),
-        dec=gru(config.embed_dim),
-        out_w=u(config.vocab_size, config.hidden_dim),
-        out_b=u(config.vocab_size),
+        embedding=np.empty((v, e)),
+        enc_fwd=gru(e),
+        enc_bwd=gru(e),
+        latent_w=np.empty((2 * k, h)),
+        latent_b=np.empty(2 * k),
+        dec_init_w=np.empty((h, k)),
+        dec_init_b=np.empty(h),
+        dec=gru(e),
+        out_w=np.empty((v, h)),
+        out_b=np.empty(v),
     )
+
+
+def init_params(config: VaeConfig) -> VaeParams:
+    """Uniform initialization in [-0.08, 0.08], reproducible from the seed."""
+    params = empty_params(config)
+    rng = np.random.default_rng(config.seed)
+    h = config.hidden_dim
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, GruWeights):
+            # Drawn gate by gate (update, reset, candidate), each as w, u, b.
+            for gate in range(3):
+                for tensor in (value.w, value.u, value.b):
+                    rows = tensor[gate * h : (gate + 1) * h]
+                    rows[...] = rng.uniform(-0.08, 0.08, size=rows.shape)
+        else:
+            value[...] = rng.uniform(-0.08, 0.08, size=value.shape)
+    return params
 
 
 def zeros_like_params(params: VaeParams) -> VaeParams:

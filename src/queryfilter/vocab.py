@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .atomic import atomic_open
+from .corpus import iter_lines
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -73,9 +74,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
-        return cls(tuple(tokens))
+        """Read one token per line; a line that is not UTF-8 raises ``CorpusError`` naming it."""
+        return cls(tuple(line.rstrip("\r\n") for _, line in iter_lines(path)))
 
 
 def build_vocab(

@@ -212,7 +212,7 @@ def test_criterion_5_separation_experiment():
         )
         scored = [(f"s{i}", score) for i, score in enumerate(scores.tolist())]
         labels = {f"s{i}": is_template for i, (_, is_template) in enumerate(eval_texts)}
-        result = partition(scored, strategy="gmm")
+        result = partition([rid for rid, _ in scored], scores, strategy="gmm")
         keep = set(result.retained)
         agree = sum(1 for rid, _ in scored if (rid in keep) == labels[rid])
         assert agree / len(scored) >= 0.95

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from queryfilter.checkpoint import save_checkpoint
-from queryfilter import cli
+from queryfilter import cli, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
-from queryfilter.corpus import read_jsonl
+from queryfilter.corpus import Record, read_jsonl
 from queryfilter.vae import VaeConfig, init_params, named_tensors, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
@@ -33,6 +33,51 @@ def write_pairs(path, rows):
         for rid, comment in rows:
             fh.write(json.dumps({"id": rid, "comment": comment, "code": "int x;"},
                                 ensure_ascii=False) + "\n")
+
+
+def write_scored(path, n, extra_line=None):
+    """``n`` scored records from two separated clusters, plus an optional raw line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n):
+            score = (1.0 if i % 3 else 5.0) + 0.001 * (i % 97)
+            fh.write(json.dumps({"id": f"s{i:05d}", "comment": f"read record {i} from the file",
+                                 "code": "int x;", "score": score}) + "\n")
+        if extra_line is not None:
+            fh.write(extra_line)
+
+
+def output_bytes(tmp_path, names):
+    return {name: (tmp_path / name).read_bytes() for name in names}
+
+
+def temp_files(tmp_path):
+    return [p.name for p in tmp_path.rglob("*.tmp")]
+
+
+def second_read(monkeypatch, edit):
+    """Make the second ``read_jsonl`` call of a stage yield ``edit(records)``."""
+    reads = []
+    real = cli.read_jsonl
+
+    def read_jsonl(path):
+        reads.append(path)
+        return iter(edit(list(real(path)))) if len(reads) == 2 else real(path)
+
+    monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
+    return reads
+
+
+def _renamed(records):
+    records[len(records) // 2].id = "replaced"
+    return records
+
+
+# How a file can change between the first and the second read of a stage.
+CHANGES = {
+    "changed_id": _renamed,
+    "extra_record": lambda records: records + [Record(id="extra", comment="c", code="x", score=1.0)],
+    "missing_record": lambda records: records[:-1],
+}
 
 
 def small_config(tmp_path, extra=""):
@@ -218,6 +263,36 @@ class TestRuleFilterCommand:
         assert "nonsense" in err and "urls" not in err
         assert not (tmp_path / "rule_retained.jsonl").exists()
 
+    @pytest.mark.parametrize("rejects", ["rule_retained.jsonl", "sub/../rule_retained.jsonl"])
+    def test_retained_and_rejects_on_one_file_exit_1(self, tmp_path, capsys, rejects):
+        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
+        (tmp_path / "sub").mkdir()
+        cfg = small_config(tmp_path)
+        retained, rejects = str(tmp_path / "rule_retained.jsonl"), str(tmp_path / rejects)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet",
+                     "--retained", retained, "--rejects", rejects]) == 1
+        err = capsys.readouterr().err
+        assert retained in err and rejects in err and "same file" in err
+        assert not (tmp_path / "rule_retained.jsonl").exists()
+
+    def test_malformed_line_near_the_end_keeps_both_earlier_outputs(self, tmp_path, capsys):
+        # Enough records that both outputs are partly written when the bad line is met.
+        rows = [(f"k{i:05d}", f"Convert value {i} to a string." if i % 3 else f"See http://x.org/{i}")
+                for i in range(3000)]
+        write_pairs(tmp_path / "pairs.jsonl", rows[:30])
+        cfg = small_config(tmp_path)
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 0
+        outputs = ("rule_retained.jsonl", "rule_rejects.jsonl", "rule_stats.json")
+        before = output_bytes(tmp_path, outputs)
+        write_pairs(tmp_path / "pairs.jsonl", rows)
+        with open(tmp_path / "pairs.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": "bad", "comment": \n')
+            fh.write('{"id": "last", "comment": "Parse the line.", "code": "x"}\n')
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 3001: malformed JSON" in capsys.readouterr().err
+        assert output_bytes(tmp_path, outputs) == before
+        assert temp_files(tmp_path) == []
+
     def test_jobs_match_serial_output(self, tmp_path, monkeypatch):
         rows = TABLE_EXAMPLES + [("k1", "convert string to int")]
         write_pairs(tmp_path / "pairs.jsonl", rows)
@@ -321,6 +396,22 @@ class TestTrainCommand:
         assert "line 3: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_1_before_the_first_step(
+            self, tmp_path, monkeypatch, capsys, value):
+        (tmp_path / "bootstrap.txt").write_text("convert string to int\nread a file\n",
+                                                encoding="utf-8")
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("learning_rate = 0.002", f"learning_rate = {value}"))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("train took a step")
+
+        monkeypatch.setattr(vae, "loss_and_grads", no_step)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_same_seed_same_checkpoint(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
         first = (tmp_path / "model.ckpt").read_bytes()
@@ -343,6 +434,15 @@ class TestScoreCommand:
         first = (tmp_path / "scored.jsonl").read_bytes()
         main(["score", "--config", str(cfg), "--quiet"])
         assert (tmp_path / "scored.jsonl").read_bytes() == first
+
+    def test_invalid_utf8_vocabulary_exits_2_naming_the_line(self, trained_pipeline, capsys):
+        tmp_path, cfg = trained_pipeline
+        n = len((tmp_path / "vocab.txt").read_bytes().splitlines())
+        with open(tmp_path / "vocab.txt", "ab") as fh:
+            fh.write(b"x\xff\n")
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
+        assert f"line {n + 1}: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "scored.jsonl").exists()
 
     def test_vocabulary_mismatch_exits_4(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
@@ -473,6 +573,19 @@ class TestScoreCommand:
             ids = vocab.encode(tokenize(comment), vae_cfg.max_len)
             assert record.score == reconstruction_loss(params, [ids])[0]
 
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_input_changed_between_reads_exits_2(self, trained_pipeline, monkeypatch, capsys, change):
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        reads = second_read(monkeypatch, CHANGES[change])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
+        assert len(reads) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'rule_retained.jsonl'} changed while it was read" in err
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
+        assert temp_files(tmp_path) == []
+
 
 class TestPartitionCommand:
     def test_missing_scores_exit_5(self, trained_pipeline):
@@ -502,6 +615,43 @@ class TestPartitionCommand:
         assert main(["partition", "--config", str(cfg), "--quiet", "--strategy", strategy]) == 1
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "retained.jsonl").exists()
+
+    def test_retained_and_rejects_on_one_file_exit_1(self, tmp_path, capsys):
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path)
+        out = str(tmp_path / "out.jsonl")
+        assert main(["partition", "--config", str(cfg), "--quiet",
+                     "--retained", out, "--rejects", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count(out) == 2 and "same file" in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_malformed_line_near_the_end_keeps_both_earlier_outputs(self, tmp_path, capsys):
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
+        outputs = ("retained.jsonl", "semantic_rejects.jsonl", "report.json")
+        before = output_bytes(tmp_path, outputs)
+        write_scored(tmp_path / "scored.jsonl", 3000, extra_line='{"id": "bad", "score": \n')
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
+        assert "line 3001: malformed JSON" in capsys.readouterr().err
+        assert output_bytes(tmp_path, outputs) == before
+        assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_input_changed_between_reads_exits_2(self, tmp_path, monkeypatch, capsys, change):
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
+        outputs = ("retained.jsonl", "semantic_rejects.jsonl", "report.json")
+        before = output_bytes(tmp_path, outputs)
+        write_scored(tmp_path / "scored.jsonl", 3000)
+        reads = second_read(monkeypatch, CHANGES[change])
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
+        assert len(reads) == 2
+        assert f"{tmp_path / 'scored.jsonl'} changed while it was read" in capsys.readouterr().err
+        assert output_bytes(tmp_path, outputs) == before
+        assert temp_files(tmp_path) == []
 
     def test_percentile_partition_and_report(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline

@@ -6,12 +6,14 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from queryfilter import corpus
 from queryfilter.corpus import (
     BootstrapStats,
     CorpusError,
     ProvenanceEntry,
     Record,
     extract_first_sentence,
+    jsonl_writer,
     prepare_bootstrap,
     read_jsonl,
     write_jsonl,
@@ -225,6 +227,29 @@ class TestWriteJsonl:
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
+class TestJsonlWriter:
+    def test_puts_are_lines_in_order_and_match_write_jsonl(self, tmp_path):
+        records = [Record(id=f"r{i}", comment="x", code="y", score=0.5 * i) for i in range(3)]
+        with jsonl_writer(tmp_path / "put.jsonl") as put:
+            for record in records:
+                put(record)
+        write_jsonl(iter(records), tmp_path / "write.jsonl")
+        assert (tmp_path / "put.jsonl").read_bytes() == (tmp_path / "write.jsonl").read_bytes()
+        assert [r.id for r in read_jsonl(tmp_path / "put.jsonl")] == ["r0", "r1", "r2"]
+
+    def test_failure_inside_the_block_keeps_previous_file(self, tmp_path):
+        f = tmp_path / "out.jsonl"
+        write_jsonl([Record(id="old", comment="x", code="y")], f)
+        before = f.read_bytes()
+        with pytest.raises(RuntimeError, match="stage crashed"):
+            with jsonl_writer(f) as put:
+                for i in range(1000):  # enough to flush part of the file
+                    put(Record(id=f"r{i}", comment="x" * 100, code="y"))
+                raise RuntimeError("stage crashed")
+        assert f.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
 _prov_entries = st.builds(
     ProvenanceEntry,
     stage=st.sampled_from(["extract", "rule", "semantic"]),
@@ -265,6 +290,27 @@ def test_round_trip_identity(tmp_path_factory, records):
     write_jsonl(records, f)
     back = list(read_jsonl(f))
     assert back == records
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.text(max_size=5), _json_values, max_size=4))
+def test_encoder_writes_what_json_encoder_writes(obj):
+    reference = json.JSONEncoder(ensure_ascii=False).encode(obj)
+    assert corpus._ENCODE(obj) == reference
+    assert corpus._json_encoder()(obj) == reference
+
+
+def test_encoder_without_the_c_accelerator_is_json_encoder(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    obj = {"id": "a", "comment": "naïve — 试", "score": 0.1}
+    assert corpus._json_encoder()(obj) == json.JSONEncoder(ensure_ascii=False).encode(obj)
 
 
 class TestExtractFirstSentence:

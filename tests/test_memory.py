@@ -1,0 +1,90 @@
+"""Peak memory of the record stages grows only by the state they must keep.
+
+Each stage runs on N and on 4N records under ``tracemalloc``; the growth of
+its traced peak, divided by the 3N extra records, is held to a per-record
+bound.  A warm-up run before the first measurement keeps one-time imports
+and caches out of the figure.
+"""
+
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from queryfilter import cli
+from queryfilter.checkpoint import save_checkpoint
+from queryfilter.config import PipelineConfig, PathsConfig
+from queryfilter.vae import VaeConfig, init_params
+from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary
+
+N = 500
+WORDS = ("convert", "read", "write", "parse", "string", "file", "list", "value", "number",
+         "stream", "buffer", "index", "from", "into", "the", "a", "to", "with")
+CODE = "public static int parse(String text) { return Integer.parseInt(text.trim()); }"
+
+# Measured per extra record with N = 500: rule-filter 124 B (the duplicate-id
+# set), partition 211 B (ids, scores and the second read's id set) and score
+# 255 B (ids and encoded comments); a stage that keeps every Record grows by
+# 814, 747 and 734 B.  The bounds leave room for container resizes.
+BOUND = {"rule_filter": 200, "partition": 350, "score": 450}
+
+
+def _comment(rng: random.Random, i: int) -> str:
+    words = [rng.choice(WORDS) for _ in range(rng.randint(3, 12))]
+    if i % 5 == 0:
+        return "See https://example.com/" + "/".join(words)  # rejected by the urls rule
+    return " ".join(words).capitalize() + f" {i}.\n@param text the input"
+
+
+def _write_rows(path, n: int, scored: bool = False) -> None:
+    rng = random.Random(n)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n):
+            row = {"id": f"rec{i:07d}", "comment": _comment(rng, i), "code": CODE}
+            if scored:
+                row["score"] = abs(rng.gauss(1.0, 0.2) if i % 3 else rng.gauss(4.0, 0.5))
+            fh.write(json.dumps(row) + "\n")
+
+
+@pytest.fixture()
+def cfg(tmp_path):
+    names = {f: str(tmp_path / f) for f in ("input", "rule_retained", "rule_rejects",
+                                            "rule_stats", "checkpoint", "vocabulary", "scored",
+                                            "retained", "semantic_rejects", "report")}
+    config = PipelineConfig(paths=PathsConfig(**names))
+    vocab = Vocabulary(SPECIAL_TOKENS + WORDS)
+    vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=12, latent_dim=4,
+                        max_len=20, seed=1)
+    vocab.save(names["vocabulary"])
+    save_checkpoint(init_params(vae_cfg), vae_cfg, vocab.content_hash(), names["checkpoint"])
+    return config
+
+
+STAGES = {
+    "rule_filter": ("input", False, lambda c: cli.run_rule_filter(c, quiet=True)),
+    "partition": ("scored", True, lambda c: cli.run_partition(c, quiet=True)),
+    "score": ("rule_retained", False, lambda c: cli.run_score(c, quiet=True)),
+}
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_peak_grows_only_by_the_kept_state(cfg, stage):
+    field, scored, run = STAGES[stage]
+    peaks = []
+    for n in (N, 4 * N):
+        _write_rows(getattr(cfg.paths, field), n, scored)
+        if not peaks:
+            run(cfg)  # a first call's imports and caches are not per-record state
+        peaks.append(_traced_peak(lambda: run(cfg)))
+    per_record = (peaks[1] - peaks[0]) / (3 * N)
+    assert per_record < BOUND[stage], f"{stage}: {per_record:.0f} B per extra record"

@@ -1,6 +1,7 @@
 """EM mixture fitting, dividing-point computation, and partition strategies."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from queryfilter.threshold import (
     kmeans_two,
     partition,
 )
+
+
+def split(scored):
+    """The (ids, losses) arguments of :func:`partition` for (id, loss) pairs."""
+    return [rid for rid, _ in scored], [loss for _, loss in scored]
 
 
 def closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq):
@@ -155,24 +161,24 @@ class TestPartition:
         scored = [(f"lo{i}", 1.0 + 0.01 * i) for i in range(6)] + [
             (f"hi{i}", 9.0 + 0.01 * i) for i in range(4)
         ]
-        result = partition(scored, strategy="gmm")
+        result = partition(*split(scored), strategy="gmm")
         assert set(result.retained) == {f"lo{i}" for i in range(6)}
         assert result.report["n_retained"] == 6
 
     def test_percentile_half(self):
         scored = [(f"r{i}", float(i)) for i in range(10)]
-        result = partition(scored, strategy="percentile", p=0.5)
+        result = partition(*split(scored), strategy="percentile", p=0.5)
         assert set(result.retained) == {f"r{i}" for i in range(5)}
         assert result.report["p"] == 0.5
 
     def test_percentile_boundary_ties_by_id(self):
         scored = [("b", 1.0), ("a", 1.0), ("c", 1.0), ("d", 0.5)]
-        result = partition(scored, strategy="percentile", p=0.5)
+        result = partition(*split(scored), strategy="percentile", p=0.5)
         assert set(result.retained) == {"d", "a"}
 
     def test_percentile_one_retains_everything(self):
         scored = [(f"r{i}", float(i)) for i in range(7)]
-        result = partition(scored, strategy="percentile", p=1.0)
+        result = partition(*split(scored), strategy="percentile", p=1.0)
         assert result.retained == [f"r{i}" for i in range(7)]
         assert result.discarded == []
 
@@ -180,29 +186,39 @@ class TestPartition:
         scored = [("a", 1.0), ("b", 2.0)]
         for bad in (0.0, -0.5, 1.5, None):
             with pytest.raises(ValueError):
-                partition(scored, strategy="percentile", p=bad)
+                partition(*split(scored), strategy="percentile", p=bad)
 
     def test_kmeans_lower_cluster(self):
         scored = [(f"lo{i}", 1.0 + 0.1 * i) for i in range(5)] + [
             (f"hi{i}", 8.0 + 0.1 * i) for i in range(5)
         ]
-        result = partition(scored, strategy="kmeans2")
+        result = partition(*split(scored), strategy="kmeans2")
         assert set(result.retained) == {f"lo{i}" for i in range(5)}
+
+    def test_keep_mask_matches_retained_and_compact_losses_accepted(self):
+        ids = [f"r{i}" for i in range(10)]
+        losses = array("d", [1.0 + 0.01 * i if i % 2 else 9.0 + 0.01 * i for i in range(10)])
+        result = partition(ids, losses, strategy="gmm")
+        assert result.retained == [rid for rid, keep in zip(ids, result.keep) if keep]
+        assert result.discarded == [rid for rid, keep in zip(ids, result.keep) if not keep]
+        assert result.retained == [f"r{i}" for i in range(1, 10, 2)]
+        with pytest.raises(ValueError, match="length"):
+            partition(ids, losses[:-1], strategy="gmm")
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
-            partition([("a", 1.0)], strategy="median")
+            partition(["a"], [1.0], strategy="median")
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            partition([], strategy="gmm")
+            partition([], [], strategy="gmm")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("strategy", ["gmm", "percentile", "kmeans2"])
     def test_non_finite_loss_rejected(self, strategy, bad):
         scored = [(f"r{i}", 1.0 + i) for i in range(20)] + [("bad", bad)]
         with pytest.raises(ValueError, match="finite"):
-            partition(scored, strategy=strategy, p=0.5)
+            partition(*split(scored), strategy=strategy, p=0.5)
 
     def test_contiguous_split_invariant(self):
         rng = np.random.default_rng(12)
@@ -211,7 +227,7 @@ class TestPartition:
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         by_id = dict(scored)
         for strategy in ("gmm", "kmeans2"):
-            result = partition(scored, strategy=strategy)
+            result = partition(*split(scored), strategy=strategy)
             assert set(result.retained) | set(result.discarded) == set(by_id)
             assert not set(result.retained) & set(result.discarded)
             if result.retained and result.discarded:
@@ -225,7 +241,7 @@ class TestPartition:
         from_q = rng.random(n) < 0.6
         losses = np.where(from_q, rng.normal(1.0, 0.25, n), rng.normal(4.0, 0.25, n))
         scored = [(f"r{i}", float(abs(v))) for i, v in enumerate(losses)]
-        result = partition(scored, strategy="gmm")
+        result = partition(*split(scored), strategy="gmm")
         assert abs(result.report["retained_fraction"] - 0.6) <= 0.02
 
     def test_membership_permutation_invariant(self):
@@ -234,6 +250,6 @@ class TestPartition:
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         shuffled = scored[::-1]
         for strategy, kwargs in (("gmm", {}), ("percentile", {"p": 0.4}), ("kmeans2", {})):
-            a = partition(scored, strategy=strategy, **kwargs)
-            b = partition(shuffled, strategy=strategy, **kwargs)
+            a = partition(*split(scored), strategy=strategy, **kwargs)
+            b = partition(*split(shuffled), strategy=strategy, **kwargs)
             assert set(a.retained) == set(b.retained)

@@ -466,6 +466,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="hidden_dim must be >= 1"):
             load_checkpoint(path)
 
+    def test_loading_draws_no_random_numbers_and_is_bit_identical(self, tmp_path, monkeypatch):
+        # The model-default workload's dims; the weights differ from any seeded init.
+        cfg = VaeConfig(vocab_size=2000, embed_dim=128, hidden_dim=256, latent_dim=64, seed=4)
+        params = init_params(cfg)
+        rng = np.random.default_rng(8)
+        for _, tensor in named_tensors(params):
+            tensor[...] = rng.standard_normal(tensor.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, "hash-of-vocab", path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        for (name, a), (_, b) in zip(named_tensors(params), named_tensors(loaded)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert b.flags.writeable and b.flags.c_contiguous, name
+
     def test_integer_learning_rate_accepted(self, tmp_path):
         cfg = replace(tiny_config(seed=21), learning_rate=1)
         path = tmp_path / "model.ckpt"

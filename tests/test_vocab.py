@@ -109,6 +109,12 @@ class TestPersistence:
         assert lines[vocab.id_of("beta")] == "beta"
         assert lines[PAD] == "<pad>"
 
+    def test_crlf_file_loads_like_lf(self, tmp_path):
+        vocab = build_vocab([["alpha", "beta"]], max_size=10, min_count=1)
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(vocab.serialize().replace("\n", "\r\n").encode("utf-8"))
+        assert Vocabulary.load(path).content_hash() == vocab.content_hash()
+
     def test_hash_differs_for_different_vocab(self):
         a = build_vocab([["alpha"]], max_size=10, min_count=1)
         b = build_vocab([["beta"]], max_size=10, min_count=1)
