@@ -167,7 +167,7 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
-def read_jsonl(path) -> Iterator[Record]:
+def read_jsonl(path, ids=None) -> Iterator[Record]:
     """Stream records from a JSONL file in file order.
 
     Raises :class:`CorpusError` with the offending line number on a line that
@@ -175,14 +175,33 @@ def read_jsonl(path) -> Iterator[Record]:
     duplicate id.  The duplicate check keeps every id seen, so its memory
     grows with the number of records: about 120 B per record for a short id
     (the string and its set slot).
+
+    ``ids`` reads the file a second time: a first read found ``ids`` there,
+    and record i must carry ``ids[i]``.  A record with another id, a record
+    past them, or a file that ends before them means the file changed
+    between the reads, and raises :class:`CorpusError`.  No id set is kept,
+    since the first read already rejected duplicates.
     """
-    seen_ids: set[str] = set()
-    for line_no, obj in iter_json_objects(path):
+    if ids is None:
+        seen_ids: set[str] = set()
+        for line_no, obj in iter_json_objects(path):
+            record = _record_from_obj(obj, line_no)
+            if record.id in seen_ids:
+                raise CorpusError(f'duplicate id "{record.id}"', line_no)
+            seen_ids.add(record.id)
+            yield record
+        return
+    n = len(ids)
+    i = -1
+    for i, (line_no, obj) in enumerate(iter_json_objects(path)):
         record = _record_from_obj(obj, line_no)
-        if record.id in seen_ids:
-            raise CorpusError(f'duplicate id "{record.id}"', line_no)
-        seen_ids.add(record.id)
+        if i >= n or record.id != ids[i]:
+            raise CorpusError(f"{path} changed while it was read: record {i + 1} "
+                              "differs from the first read")
         yield record
+    if i + 1 != n:
+        raise CorpusError(f"{path} changed while it was read: it holds {i + 1} records, "
+                          f"not the {n} of the first read")
 
 
 def _json_encoder() -> Callable[[object], str]:

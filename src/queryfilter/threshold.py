@@ -30,27 +30,29 @@ class GmmFit:
     sigma_uq: float
     threshold: float
     loglik_trace: tuple[float, ...]
+    converged: bool  # False when EM stopped at max_iter, not at tol
+    fallback_midpoint: bool  # True when the threshold is the means' midpoint
 
 
 @dataclass(frozen=True)
 class PartitionResult:
+    ids: Sequence[str]
     keep: np.ndarray  # bool, one per input position: True where retained
-    retained: list  # ids, in input order
-    discarded: list
     report: dict
+
+    @property
+    def retained(self) -> list:
+        """Retained ids, in input order."""
+        return list(compress(self.ids, self.keep))
+
+    @property
+    def discarded(self) -> list:
+        """Discarded ids, in input order."""
+        return list(compress(self.ids, ~self.keep))
 
 
 def _norm_logpdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     return -0.5 * _LOG_2PI - math.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
-
-
-def _mixture_loglik_and_resp(x, pi, mu_q, sigma_q, mu_uq, sigma_uq):
-    log_q = math.log(pi) + _norm_logpdf(x, mu_q, sigma_q)
-    log_u = math.log(1.0 - pi) + _norm_logpdf(x, mu_uq, sigma_uq)
-    top = np.maximum(log_q, log_u)
-    log_mix = top + np.log(np.exp(log_q - top) + np.exp(log_u - top))
-    resp_q = np.exp(log_q - log_mix)
-    return float(np.sum(log_mix)), resp_q
 
 
 def _posterior_gap(x, pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
@@ -60,40 +62,41 @@ def _posterior_gap(x, pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
     )
 
 
-def _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
+def _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> tuple[float, bool]:
     """Root of equal posterior responsibility inside (mu_q, mu_uq), by bisection.
 
     Restricting the search to the open interval between the means keeps the
     retained region contiguous; without a sign change there, the midpoint is
-    the documented fallback.
+    the documented fallback.  Returns the point and whether it is that
+    fallback.
     """
     lo, hi = mu_q, mu_uq
     if hi - lo <= 0:
-        return 0.5 * (lo + hi)
+        return 0.5 * (lo + hi), True
     args = (pi, mu_q, sigma_q, mu_uq, sigma_uq)
     f_lo = _posterior_gap(lo, *args)
     f_hi = _posterior_gap(hi, *args)
     if f_lo == 0.0:
-        return lo
+        return lo, False
     if f_hi == 0.0:
-        return hi
+        return hi, False
     if (f_lo > 0) == (f_hi > 0):
-        return 0.5 * (lo + hi)
+        return 0.5 * (lo + hi), True
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         f_mid = _posterior_gap(mid, *args)
         if f_mid == 0.0:
-            return mid
+            return mid, False
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), False
 
 
 def decision_threshold(fit: GmmFit) -> float:
     """Loss value where both components are equally responsible."""
-    return _dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)
+    return _dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)[0]
 
 
 def fit_em_gmm(
@@ -132,27 +135,48 @@ def fit_em_gmm(
     sigma_q = sigma_uq = sigma
     pi = 0.5
 
+    # Each round runs in four length-N buffers, allocated once per fit.
+    a, b, c, d = (np.empty_like(x) for _ in range(4))
     trace: list[float] = []
+    converged = False
     for _ in range(max_iter):
-        loglik, resp_q = _mixture_loglik_and_resp(x, pi, mu_q, sigma_q, mu_uq, sigma_uq)
+        # E step: a = log(pi) + logpdf_q(x), b = log(1 - pi) + logpdf_uq(x)
+        for buf, weight, mu, sd in ((a, pi, mu_q, sigma_q), (b, 1.0 - pi, mu_uq, sigma_uq)):
+            np.subtract(x, mu, out=buf)
+            np.divide(buf, sd, out=buf)
+            np.square(buf, out=buf)
+            np.multiply(0.5, buf, out=buf)
+            np.subtract(-0.5 * _LOG_2PI - math.log(sd), buf, out=buf)
+            np.add(math.log(weight), buf, out=buf)
+        # c = log_mix = top + log(exp(a - top) + exp(b - top)), top = max(a, b)
+        np.maximum(a, b, out=c)
+        np.subtract(a, c, out=d)
+        np.exp(d, out=d)
+        np.subtract(b, c, out=b)
+        np.exp(b, out=b)
+        np.add(d, b, out=d)
+        np.log(d, out=d)
+        np.add(c, d, out=c)
+        loglik = float(np.sum(c))
         if trace and loglik - trace[-1] < tol:
             trace.append(loglik)
+            converged = True
             break
         trace.append(loglik)
+        resp_q = np.exp(np.subtract(a, c, out=a), out=a)
+        resp_u = np.subtract(1.0, resp_q, out=c)
 
+        # M step
         weight_q = float(resp_q.sum())
         weight_u = float(x.size - weight_q)
         safe_q = max(weight_q, 1e-300)
         safe_u = max(weight_u, 1e-300)
-        mu_q = float((resp_q * x).sum() / safe_q)
-        mu_uq = float(((1.0 - resp_q) * x).sum() / safe_u)
-        sigma_q = max(
-            math.sqrt(float((resp_q * (x - mu_q) ** 2).sum() / safe_q)), SIGMA_FLOOR
-        )
-        sigma_uq = max(
-            math.sqrt(float(((1.0 - resp_q) * (x - mu_uq) ** 2).sum() / safe_u)),
-            SIGMA_FLOOR,
-        )
+        mu_q = float(np.multiply(resp_q, x, out=b).sum() / safe_q)
+        mu_uq = float(np.multiply(resp_u, x, out=b).sum() / safe_u)
+        sigma_q = max(math.sqrt(float(_weighted_square(resp_q, x, mu_q, b).sum() / safe_q)),
+                      SIGMA_FLOOR)
+        sigma_uq = max(math.sqrt(float(_weighted_square(resp_u, x, mu_uq, b).sum() / safe_u)),
+                       SIGMA_FLOOR)
         pi = min(max(weight_q / x.size, 1e-12), 1.0 - 1e-12)
 
     if mu_q > mu_uq:
@@ -160,15 +184,25 @@ def fit_em_gmm(
         mu_q, mu_uq = mu_uq, mu_q
         sigma_q, sigma_uq = sigma_uq, sigma_q
 
+    threshold, fallback = _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)
     return GmmFit(
         pi=pi,
         mu_q=mu_q,
         sigma_q=sigma_q,
         mu_uq=mu_uq,
         sigma_uq=sigma_uq,
-        threshold=_dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq),
+        threshold=threshold,
         loglik_trace=tuple(trace),
+        converged=converged,
+        fallback_midpoint=fallback,
     )
+
+
+def _weighted_square(resp: np.ndarray, x: np.ndarray, mu: float, out: np.ndarray) -> np.ndarray:
+    """``resp * (x - mu) ** 2``, written to ``out``."""
+    np.subtract(x, mu, out=out)
+    np.square(out, out=out)
+    return np.multiply(resp, out, out=out)
 
 
 def kmeans_two(losses: Sequence[float], max_iter: int = 200):
@@ -209,8 +243,8 @@ def partition(
     retains losses at or below the mixture dividing point; ``percentile``
     retains the floor(p * n) smallest losses with boundary ties broken by
     ascending id; ``kmeans2`` retains the cluster around the lower center.
-    Returned id lists preserve input order; the report carries the strategy
-    parameters and counts.
+    The result's id lists preserve input order; the report carries the
+    strategy parameters and counts.
     """
     if len(ids) != len(losses):
         raise ValueError("ids and losses differ in length")
@@ -232,6 +266,8 @@ def partition(
             mu_uq=fit.mu_uq,
             sigma_uq=fit.sigma_uq,
             em_iterations=len(fit.loglik_trace),
+            converged=fit.converged,
+            fallback_midpoint=fit.fallback_midpoint,
         )
     elif strategy == "percentile":
         if p is None or not 0.0 < p <= 1.0:
@@ -250,9 +286,8 @@ def partition(
     else:
         raise ValueError(f'unknown partition strategy "{strategy}"')
 
-    retained = list(compress(ids, keep_mask))
-    discarded = list(compress(ids, ~keep_mask))
-    report["n_retained"] = len(retained)
-    report["n_discarded"] = len(discarded)
-    report["retained_fraction"] = len(retained) / len(ids)
-    return PartitionResult(keep=keep_mask, retained=retained, discarded=discarded, report=report)
+    n_retained = int(np.count_nonzero(keep_mask))
+    report["n_retained"] = n_retained
+    report["n_discarded"] = len(ids) - n_retained
+    report["retained_fraction"] = n_retained / len(ids)
+    return PartitionResult(ids=ids, keep=keep_mask, report=report)

@@ -157,7 +157,7 @@ def test_criterion_4_threshold_oracle():
             mu_uq = mu_q + rng.uniform(1.0, 4.0)
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
-            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, ())
+            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, (), True, False)
             oracle = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
             assert abs(decision_threshold(fit) - oracle) <= 1e-6
 

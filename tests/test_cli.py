@@ -12,7 +12,7 @@ from queryfilter.checkpoint import save_checkpoint
 from queryfilter import cli, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
-from queryfilter.corpus import Record, read_jsonl
+from queryfilter.corpus import Record, read_jsonl, write_jsonl
 from queryfilter.vae import VaeConfig, init_params, named_tensors, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
@@ -54,14 +54,17 @@ def temp_files(tmp_path):
     return [p.name for p in tmp_path.rglob("*.tmp")]
 
 
-def second_read(monkeypatch, edit):
-    """Make the second ``read_jsonl`` call of a stage yield ``edit(records)``."""
+def second_read(monkeypatch, edit=None):
+    """Record the path of each ``read_jsonl`` call a stage makes; with ``edit``,
+    rewrite the input as ``edit(records)`` just before the second call."""
     reads = []
     real = cli.read_jsonl
 
-    def read_jsonl(path):
+    def read_jsonl(path, ids=None):
         reads.append(path)
-        return iter(edit(list(real(path)))) if len(reads) == 2 else real(path)
+        if edit is not None and len(reads) == 2:
+            write_jsonl(edit(list(real(path))), path)
+        return real(path, ids)
 
     monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
     return reads
@@ -72,11 +75,17 @@ def _renamed(records):
     return records
 
 
+def _repeated(records):
+    records[len(records) // 2].id = records[0].id
+    return records
+
+
 # How a file can change between the first and the second read of a stage.
 CHANGES = {
     "changed_id": _renamed,
     "extra_record": lambda records: records + [Record(id="extra", comment="c", code="x", score=1.0)],
     "missing_record": lambda records: records[:-1],
+    "repeated_id": _repeated,
 }
 
 
@@ -586,6 +595,18 @@ class TestScoreCommand:
         assert (tmp_path / "scored.jsonl").read_bytes() == before
         assert temp_files(tmp_path) == []
 
+    def test_duplicate_id_exits_2_from_the_first_read(self, trained_pipeline, monkeypatch, capsys):
+        tmp_path, cfg = trained_pipeline
+        path = tmp_path / "rule_retained.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        reads = second_read(monkeypatch)
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
+        first = json.loads(lines[0])["id"]
+        assert f'line {len(lines) + 1}: duplicate id "{first}"' in capsys.readouterr().err
+        assert len(reads) == 1
+        assert not (tmp_path / "scored.jsonl").exists()
+
 
 class TestPartitionCommand:
     def test_missing_scores_exit_5(self, trained_pipeline):
@@ -652,6 +673,16 @@ class TestPartitionCommand:
         assert f"{tmp_path / 'scored.jsonl'} changed while it was read" in capsys.readouterr().err
         assert output_bytes(tmp_path, outputs) == before
         assert temp_files(tmp_path) == []
+
+    def test_duplicate_id_exits_2_from_the_first_read(self, tmp_path, monkeypatch, capsys):
+        write_scored(tmp_path / "scored.jsonl", 30, extra_line=json.dumps(
+            {"id": "s00007", "comment": "c", "code": "x", "score": 1.0}) + "\n")
+        cfg = small_config(tmp_path)
+        reads = second_read(monkeypatch)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
+        assert 'line 31: duplicate id "s00007"' in capsys.readouterr().err
+        assert len(reads) == 1
+        assert not (tmp_path / "retained.jsonl").exists()
 
     def test_percentile_partition_and_report(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline

@@ -5,8 +5,10 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queryfilter.threshold import (
+    SIGMA_FLOOR,
     GmmFit,
     decision_threshold,
     fit_em_gmm,
@@ -44,6 +46,69 @@ def closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq):
             roots = [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
     inside = [r for r in roots if mu_q < r < mu_uq]
     return inside[0] if inside else 0.5 * (mu_q + mu_uq)
+
+
+def _reference_logpdf(x, mu, sigma):
+    return -0.5 * math.log(2.0 * math.pi) - math.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
+
+
+def reference_em(x, max_iter=200, tol=1e-8):
+    """EM as first written, with new arrays for every expression: the oracle
+    :func:`fit_em_gmm` must match bit for bit.  Returns the fit's fields but
+    the threshold and whether the gain fell below ``tol``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mu_q = float(np.percentile(x, 25))
+    mu_uq = float(np.percentile(x, 75))
+    if mu_q == mu_uq:
+        mu_q, mu_uq = float(x.min()), float(x.max())
+    sigma_q = sigma_uq = max(float(x.std()), SIGMA_FLOOR)
+    pi = 0.5
+    trace, converged = [], False
+    for _ in range(max_iter):
+        log_q = math.log(pi) + _reference_logpdf(x, mu_q, sigma_q)
+        log_u = math.log(1.0 - pi) + _reference_logpdf(x, mu_uq, sigma_uq)
+        top = np.maximum(log_q, log_u)
+        log_mix = top + np.log(np.exp(log_q - top) + np.exp(log_u - top))
+        resp_q = np.exp(log_q - log_mix)
+        loglik = float(np.sum(log_mix))
+        if trace and loglik - trace[-1] < tol:
+            trace.append(loglik)
+            converged = True
+            break
+        trace.append(loglik)
+        weight_q = float(resp_q.sum())
+        weight_u = float(x.size - weight_q)
+        safe_q = max(weight_q, 1e-300)
+        safe_u = max(weight_u, 1e-300)
+        mu_q = float((resp_q * x).sum() / safe_q)
+        mu_uq = float(((1.0 - resp_q) * x).sum() / safe_u)
+        sigma_q = max(math.sqrt(float((resp_q * (x - mu_q) ** 2).sum() / safe_q)), SIGMA_FLOOR)
+        sigma_uq = max(math.sqrt(float(((1.0 - resp_q) * (x - mu_uq) ** 2).sum() / safe_u)),
+                       SIGMA_FLOOR)
+        pi = min(max(weight_q / x.size, 1e-12), 1.0 - 1e-12)
+    if mu_q > mu_uq:
+        pi, mu_q, mu_uq, sigma_q, sigma_uq = 1.0 - pi, mu_uq, mu_q, sigma_uq, sigma_q
+    return (pi, mu_q, sigma_q, mu_uq, sigma_uq, tuple(trace)), converged
+
+
+@st.composite
+def _em_losses(draw):
+    """Loss samples of the shapes EM meets: normal, bimodal, heavy-tailed, heavily tied."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 400))
+    kind = draw(st.sampled_from(["normal", "bimodal", "heavy", "tied"]))
+    if kind == "normal":
+        x = rng.normal(3.0, 0.5, n)
+    elif kind == "bimodal":
+        x = np.where(rng.random(n) < 0.7, rng.normal(3.0, 0.5, n), rng.normal(6.0, 0.8, n))
+    elif kind == "heavy":
+        x = np.abs(rng.standard_t(1.5, n))
+    else:
+        x = rng.integers(0, draw(st.integers(2, 4)), n).astype(np.float64)
+    if x.min() == x.max():
+        x[0] += 1.0
+    return x
 
 
 class TestFitEmGmm:
@@ -106,6 +171,34 @@ class TestFitEmGmm:
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             fit_em_gmm(x, tol=tol)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_em_losses(), st.sampled_from([1, 3, 200]))
+    def test_matches_the_allocating_formula(self, x, max_iter):
+        fields, converged = reference_em(x, max_iter=max_iter)
+        fit = fit_em_gmm(x, max_iter=max_iter)
+        assert (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq, fit.loglik_trace) == fields
+        assert fit.threshold == decision_threshold(GmmFit(*fields[:5], 0.0, (), True, False))
+        assert fit.converged == converged
+
+    def test_converged_is_false_when_max_iter_ends_the_fit(self):
+        x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
+        assert fit_em_gmm(x).converged
+        fit = fit_em_gmm(x, max_iter=2)
+        assert not fit.converged and len(fit.loglik_trace) == 2
+        report = partition([f"r{i}" for i in range(20)], x, max_iter=2).report
+        assert report["converged"] is False and report["fallback_midpoint"] is False
+
+    def test_fallback_midpoint_when_no_crossing_lies_between_the_means(self):
+        # A narrow cluster inside a wide one whose mean lies just above it: the
+        # narrow component dominates over the whole interval between the means.
+        x = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(31.0, 71.0, 100)])
+        fit = fit_em_gmm(x)
+        assert fit.fallback_midpoint and fit.converged
+        assert fit.threshold == 0.5 * (fit.mu_q + fit.mu_uq)
+        assert partition([f"r{i}" for i in range(x.size)], x).report["fallback_midpoint"] is True
+        shifted = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(32.0, 72.0, 100)])
+        assert not fit_em_gmm(shifted).fallback_midpoint
+
     def test_one_iteration_and_zero_tol_accepted(self):
         x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
         assert len(fit_em_gmm(x, max_iter=1).loglik_trace) == 1
@@ -114,15 +207,15 @@ class TestFitEmGmm:
 
 class TestDecisionThreshold:
     def test_symmetric_midpoint(self):
-        fit = GmmFit(0.5, 0.0, 1.0, 4.0, 1.0, 0.0, ())
+        fit = GmmFit(0.5, 0.0, 1.0, 4.0, 1.0, 0.0, (), True, False)
         assert abs(decision_threshold(fit) - 2.0) < 1e-9
 
     def test_equal_variance_midpoint_with_any_means(self):
-        fit = GmmFit(0.5, 1.0, 0.7, 5.0, 0.7, 0.0, ())
+        fit = GmmFit(0.5, 1.0, 0.7, 5.0, 0.7, 0.0, (), True, False)
         assert abs(decision_threshold(fit) - 3.0) < 1e-9
 
     def test_matches_closed_form_quadratic(self):
-        fit = GmmFit(0.6, 1.0, 0.5, 4.0, 0.5, 0.0, ())
+        fit = GmmFit(0.6, 1.0, 0.5, 4.0, 0.5, 0.0, (), True, False)
         expected = closed_form_threshold(0.6, 1.0, 0.5, 4.0, 0.5)
         assert abs(decision_threshold(fit) - expected) < 1e-6
 
@@ -134,7 +227,7 @@ class TestDecisionThreshold:
             mu_uq = mu_q + rng.uniform(1.0, 4.0)
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
-            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, ())
+            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, (), True, False)
             expected = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
             assert abs(decision_threshold(fit) - expected) < 1e-6
 
