@@ -5,7 +5,7 @@ Run with: python demos/threshold_strategies.py
 
 import numpy as np
 
-from queryfilter import decision_threshold, fit_em_gmm, partition
+from queryfilter import fit_em_gmm, partition
 
 rng = np.random.default_rng(1)
 
@@ -21,7 +21,7 @@ print("EM mixture fit:")
 print(f"  qualified   ~ N({fit.mu_q:.3f}, {fit.sigma_q:.3f}^2)  weight {fit.pi:.3f}")
 print(f"  unqualified ~ N({fit.mu_uq:.3f}, {fit.sigma_uq:.3f}^2)")
 print(f"  log-likelihood improved over {len(fit.loglik_trace)} iterations")
-print(f"  dividing point (posterior = 0.5): {decision_threshold(fit):.4f}")
+print(f"  dividing point (posterior = 0.5): {fit.threshold:.4f}")
 print()
 
 for strategy, kwargs in [
@@ -30,11 +30,11 @@ for strategy, kwargs in [
     ("percentile", {"p": 0.5}),
     ("percentile", {"p": 1.0}),  # keep everything = rule-filter-only ablation
 ]:
-    result = partition(ids, losses, strategy=strategy, **kwargs)
+    _, report = partition(ids, losses, strategy=strategy, **kwargs)
     label = strategy + (f"({kwargs['p']})" if "p" in kwargs else "")
     print(
-        f"  {label:16} retained {result.report['n_retained']:5d}"
-        f"  ({100 * result.report['retained_fraction']:5.1f}%)"
+        f"  {label:16} retained {report['n_retained']:5d}"
+        f"  ({100 * report['retained_fraction']:5.1f}%)"
     )
 
 print()

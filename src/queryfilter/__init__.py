@@ -37,7 +37,7 @@ from .vae import (
     train,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .threshold import GmmFit, decision_threshold, fit_em_gmm, partition
+from .threshold import GmmFit, dividing_point, fit_em_gmm, partition
 from .metrics import answered_at_k, mrr, sample_size
 from .config import PipelineConfig, load_config
 
@@ -62,8 +62,8 @@ __all__ = [
     "answered_at_k",
     "apply_ruleset",
     "build_vocab",
-    "decision_threshold",
     "default_ruleset",
+    "dividing_point",
     "elbo_loss",
     "extract_first_sentence",
     "fit_em_gmm",

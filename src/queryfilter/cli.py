@@ -25,7 +25,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import PipelineConfig, load_config, with_seed
+from .config import PipelineConfig, load_config
 from .corpus import (
     BootstrapStats,
     CorpusError,
@@ -171,9 +171,6 @@ def run_train(cfg: PipelineConfig, quiet=False):
     token_lists = [tokenize(line) for line in lines]
     vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
     sequences = [vocab.encode(tokens, cfg.tokenizer.max_len) for tokens in token_lists]
-    if not sequences:
-        raise TrainingError("training corpus is empty")
-
     vae_cfg = dataclasses.replace(
         cfg.vae, vocab_size=vocab.size, max_len=cfg.tokenizer.max_len, seed=cfg.seed
     )
@@ -271,30 +268,21 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
     for record in read_jsonl(cfg.paths.scored):
         ids.append(record.id)
         scores.append(math.nan if record.score is None else record.score)
-    if not ids:
-        raise ValueError("nothing to partition: input is empty")
     missing = np.flatnonzero(np.isnan(scores))  # read_jsonl admits finite scores only
     if missing.size:
         raise MissingScoreError(
             f"{missing.size} records lack scores (first: {ids[missing[0]]}); "
             "run the score stage first"
         )
-    result = partition(
-        ids,
-        scores,
-        strategy=cfg.threshold.strategy,
-        p=cfg.threshold.p,
-        max_iter=cfg.threshold.max_iter,
-        tol=cfg.threshold.tol,
-    )
+    keep, report = partition(ids, scores, **dataclasses.asdict(cfg.threshold))
 
     def retained(reject):
-        keep = result.keep
         for i, record in enumerate(read_jsonl(cfg.paths.scored, ids)):
             if keep[i]:
-                record.provenance.append(ProvenanceEntry("semantic", "retained"))
                 if strip_provenance:
                     record.provenance = []
+                else:
+                    record.provenance.append(ProvenanceEntry("semantic", "retained"))
                 yield record
             else:
                 record.provenance.append(ProvenanceEntry("semantic", "rejected"))
@@ -302,14 +290,14 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
 
     with jsonl_writer(cfg.paths.semantic_rejects) as reject:
         n_retained = write_jsonl(retained(reject), cfg.paths.retained)
-    _write_json(result.report, cfg.paths.report)
+    _write_json(report, cfg.paths.report)
     _diag(
         quiet,
         f"partition[{cfg.threshold.strategy}]: retained "
         f"{n_retained}/{len(ids)} "
-        f"({100.0 * result.report['retained_fraction']:.1f}%)",
+        f"({100.0 * report['retained_fraction']:.1f}%)",
     )
-    return result.report
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +390,7 @@ def _load_cfg(args) -> PipelineConfig:
     """
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+        cfg.seed = args.seed
     given = {k: v for k, v in vars(args).items() if v is not None}
     for section in ("paths", "threshold"):
         target = getattr(cfg, section)

@@ -39,7 +39,7 @@ class TokenizerConfig:
 
 
 @dataclass
-class ThresholdConfig:
+class ThresholdConfig:  # the keyword arguments of threshold.partition
     strategy: str = "gmm"  # gmm | percentile | kmeans2
     p: float = 0.5
     max_iter: int = 200
@@ -58,13 +58,14 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     ruleset: RulesetConfig = field(default_factory=RulesetConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
+    # vocab_size, max_len and seed are placeholders: run_train sets them from
+    # the built vocabulary, [tokenizer] max_len and the pipeline seed.
     vae: VaeConfig = field(default_factory=lambda: VaeConfig(vocab_size=10_000))
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
 
 
 # INI section -> (PipelineConfig field it fills, "" for the top level; keys
-# the file may not set).  vocab_size is decided by the built vocabulary,
-# max_len by [tokenizer], and the seed propagates from [pipeline].
+# the file may not set, since run_train derives them).
 _SECTIONS = {
     "pipeline": ("", ()),
     "paths": ("paths", ()),
@@ -103,17 +104,12 @@ def load_config(path) -> PipelineConfig:
         unknown = set(parser.options(section)) - known
         if unknown:
             raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        values = {
-            key: _cast(getattr(target, key), raw) for key, raw in parser.items(section)
-        }
+        values = {}
+        for key, raw in parser.items(section):
+            try:
+                values[key] = _cast(getattr(target, key), raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
         target = replace(target, **values)
         cfg = replace(cfg, **{attr: target}) if attr else target
-    cfg.vae = replace(cfg.vae, max_len=cfg.tokenizer.max_len, seed=cfg.seed)
-    return cfg
-
-
-def with_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    """Propagate ``seed`` into every stochastic component of ``cfg``."""
-    cfg.seed = seed
-    cfg.vae = replace(cfg.vae, seed=seed)
     return cfg

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -34,23 +33,6 @@ class GmmFit:
     fallback_midpoint: bool  # True when the threshold is the means' midpoint
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    ids: Sequence[str]
-    keep: np.ndarray  # bool, one per input position: True where retained
-    report: dict
-
-    @property
-    def retained(self) -> list:
-        """Retained ids, in input order."""
-        return list(compress(self.ids, self.keep))
-
-    @property
-    def discarded(self) -> list:
-        """Discarded ids, in input order."""
-        return list(compress(self.ids, ~self.keep))
-
-
 def _norm_logpdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     return -0.5 * _LOG_2PI - math.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
 
@@ -62,9 +44,11 @@ def _posterior_gap(x, pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
     )
 
 
-def _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> tuple[float, bool]:
+def dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> tuple[float, bool]:
     """Root of equal posterior responsibility inside (mu_q, mu_uq), by bisection.
 
+    The arguments are a mixture's parameters as in :class:`GmmFit`, with
+    ``mu_q <= mu_uq`` and ``pi`` the weight of the component at ``mu_q``.
     Restricting the search to the open interval between the means keeps the
     retained region contiguous; without a sign change there, the midpoint is
     the documented fallback.  Returns the point and whether it is that
@@ -92,11 +76,6 @@ def _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> tuple[float, bool]:
         else:
             hi = mid
     return 0.5 * (lo + hi), False
-
-
-def decision_threshold(fit: GmmFit) -> float:
-    """Loss value where both components are equally responsible."""
-    return _dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)[0]
 
 
 def fit_em_gmm(
@@ -135,7 +114,9 @@ def fit_em_gmm(
     sigma_q = sigma_uq = sigma
     pi = 0.5
 
-    # Each round runs in four length-N buffers, allocated once per fit.
+    # Each round runs in four length-N buffers, allocated once per fit.  The
+    # allocating form (new arrays per expression, same report) raises the
+    # partition stage's VmHWM on rules-io at 50k records from 40.7 to 42.8 MB.
     a, b, c, d = (np.empty_like(x) for _ in range(4))
     trace: list[float] = []
     converged = False
@@ -184,7 +165,7 @@ def fit_em_gmm(
         mu_q, mu_uq = mu_uq, mu_q
         sigma_q, sigma_uq = sigma_uq, sigma_q
 
-    threshold, fallback = _dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)
+    threshold, fallback = dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)
     return GmmFit(
         pi=pi,
         mu_q=mu_q,
@@ -235,7 +216,7 @@ def partition(
     p: float | None = None,
     max_iter: int = 200,
     tol: float = 1e-8,
-) -> PartitionResult:
+) -> tuple[np.ndarray, dict]:
     """Split records into retained and discarded groups by their losses.
 
     ``losses[i]`` is the loss of the record ``ids[i]``; a compact sequence
@@ -243,13 +224,13 @@ def partition(
     retains losses at or below the mixture dividing point; ``percentile``
     retains the floor(p * n) smallest losses with boundary ties broken by
     ascending id; ``kmeans2`` retains the cluster around the lower center.
-    The result's id lists preserve input order; the report carries the
-    strategy parameters and counts.
+    Returns ``(keep, report)``: a bool mask, True at each retained input
+    position, and a report of the strategy parameters and counts.
     """
     if len(ids) != len(losses):
         raise ValueError("ids and losses differ in length")
     if len(ids) == 0:
-        raise ValueError("nothing to partition")
+        raise ValueError("nothing to partition: input is empty")
     losses = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(losses).all():
         raise ValueError("scores must be finite")
@@ -290,4 +271,4 @@ def partition(
     report["n_retained"] = n_retained
     report["n_discarded"] = len(ids) - n_retained
     report["retained_fraction"] = n_retained / len(ids)
-    return PartitionResult(ids=ids, keep=keep_mask, report=report)
+    return keep_mask, report

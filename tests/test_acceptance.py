@@ -29,7 +29,7 @@ from queryfilter.rules import (
     strip_html_tags,
     strip_parentheses,
 )
-from queryfilter.threshold import GmmFit, decision_threshold, fit_em_gmm, partition
+from queryfilter.threshold import dividing_point, fit_em_gmm, partition
 from queryfilter.vae import (
     VaeConfig,
     init_params,
@@ -157,9 +157,8 @@ def test_criterion_4_threshold_oracle():
             mu_uq = mu_q + rng.uniform(1.0, 4.0)
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
-            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, (), True, False)
             oracle = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
-            assert abs(decision_threshold(fit) - oracle) <= 1e-6
+            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)[0] - oracle) <= 1e-6
 
 
 TEMPLATES = [
@@ -212,9 +211,8 @@ def test_criterion_5_separation_experiment():
         )
         scored = [(f"s{i}", score) for i, score in enumerate(scores.tolist())]
         labels = {f"s{i}": is_template for i, (_, is_template) in enumerate(eval_texts)}
-        result = partition([rid for rid, _ in scored], scores, strategy="gmm")
-        keep = set(result.retained)
-        agree = sum(1 for rid, _ in scored if (rid in keep) == labels[rid])
+        keep, _ = partition([rid for rid, _ in scored], scores, strategy="gmm")
+        agree = sum(1 for (rid, _), kept in zip(scored, keep) if kept == labels[rid])
         assert agree / len(scored) >= 0.95
 
 

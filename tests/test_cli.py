@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from queryfilter.checkpoint import save_checkpoint
+from queryfilter.checkpoint import load_checkpoint, save_checkpoint
 from queryfilter import cli, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
@@ -302,20 +302,6 @@ class TestRuleFilterCommand:
         assert output_bytes(tmp_path, outputs) == before
         assert temp_files(tmp_path) == []
 
-    def test_jobs_match_serial_output(self, tmp_path, monkeypatch):
-        rows = TABLE_EXAMPLES + [("k1", "convert string to int")]
-        write_pairs(tmp_path / "pairs.jsonl", rows)
-        cfg = small_config(tmp_path)
-        main(["rule-filter", "--config", str(cfg), "--quiet"])
-        serial = (tmp_path / "rule_retained.jsonl").read_bytes()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("rule-filter opened a process pool")
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
-        assert main(["rule-filter", "--config", str(cfg), "--quiet", "--jobs", "2"]) == 0
-        assert (tmp_path / "rule_retained.jsonl").read_bytes() == serial
-
 
 class TestBootstrapCommand:
     def test_title_preparation(self, tmp_path):
@@ -420,6 +406,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--quiet"]) == 1
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
+
+    def test_checkpoint_takes_max_len_from_tokenizer_and_seed_from_pipeline(self, trained_pipeline):
+        tmp_path, cfg = trained_pipeline  # [tokenizer] max_len = 12, [pipeline] seed = 7
+
+        def saved_config():
+            vocab = Vocabulary.load(tmp_path / "vocab.txt")
+            return load_checkpoint(tmp_path / "model.ckpt", vocab.content_hash())[1]
+
+        assert (saved_config().max_len, saved_config().seed) == (12, 7)
+        assert main(["train", "--config", str(cfg), "--quiet", "--seed", "5"]) == 0
+        assert (saved_config().max_len, saved_config().seed) == (12, 5)
 
     def test_same_seed_same_checkpoint(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
@@ -637,6 +634,15 @@ class TestPartitionCommand:
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "retained.jsonl").exists()
 
+    def test_empty_input_exits_1(self, tmp_path, capsys):
+        (tmp_path / "scored.jsonl").write_text("", encoding="utf-8")
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
+        assert "nothing to partition" in capsys.readouterr().err
+        for name in ("retained.jsonl", "semantic_rejects.jsonl", "report.json"):
+            assert not (tmp_path / name).exists()
+        assert temp_files(tmp_path) == []
+
     def test_retained_and_rejects_on_one_file_exit_1(self, tmp_path, capsys):
         write_scored(tmp_path / "scored.jsonl", 30)
         cfg = small_config(tmp_path)
@@ -708,10 +714,17 @@ class TestPartitionCommand:
     def test_strip_provenance(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
         main(["score", "--config", str(cfg), "--quiet"])
-        main(["partition", "--config", str(cfg), "--quiet",
-              "--strategy", "percentile", "--p", "1.0", "--strip-provenance"])
+        flags = ["partition", "--config", str(cfg), "--quiet", "--strategy", "percentile",
+                 "--p", "1.0"]
+        assert main(flags) == 0
+        records = list(read_jsonl(tmp_path / "retained.jsonl"))
+        for rec in records:
+            rec.provenance = []
+        write_jsonl(records, tmp_path / "expected.jsonl")
+        assert main([*flags, "--strip-provenance"]) == 0
         for rec in read_jsonl(tmp_path / "retained.jsonl"):
             assert rec.provenance == []
+        assert (tmp_path / "retained.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 class TestRunCommand:
@@ -840,6 +853,30 @@ class TestArgumentParsing:
     @pytest.mark.parametrize("command", ["rule-filter", "score", "partition", "run"])
     def test_jobs_flag_accepted(self, command):
         assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("rule-filter", ("rule_retained.jsonl", "rule_rejects.jsonl", "rule_stats.json")),
+        ("partition", ("retained.jsonl", "semantic_rejects.jsonl", "report.json")),
+    ], ids=["rule-filter", "partition"])
+    def test_ignored_jobs_flag_changes_no_output(self, tmp_path, command, outputs):
+        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES + [("k1", "convert string to int")])
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--quiet"]) == 0
+        serial = output_bytes(tmp_path, outputs)
+        assert main([command, "--config", str(cfg), "--quiet", "--jobs", "2"]) == 0
+        assert output_bytes(tmp_path, outputs) == serial
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("vae", "hidden_dim", "abc"),
+        ("threshold", "p", ""),
+        ("vae", "epochs", "2.5"),
+    ])
+    def test_bad_config_value_exits_1_naming_its_key(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
+        assert f"error: [{section}] {key}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["metrics", "ranks.jsonl"], ["sample-size", "100"]],
                              ids=["metrics", "sample-size"])

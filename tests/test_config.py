@@ -74,11 +74,5 @@ tol = 1e-6
 
 
 def test_bad_value_rejected(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[vae\] epochs: invalid literal"):
         load_config(write_ini(tmp_path, "[vae]\nepochs = ten\n"))
-
-
-def test_seed_and_max_len_reach_vae(tmp_path):
-    cfg = load_config(write_ini(tmp_path, "[pipeline]\nseed = 9\n[tokenizer]\nmax_len = 12\n"))
-    assert cfg.vae.seed == 9
-    assert cfg.vae.max_len == 12

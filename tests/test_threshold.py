@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from queryfilter.threshold import (
     SIGMA_FLOOR,
-    GmmFit,
-    decision_threshold,
+    dividing_point,
     fit_em_gmm,
     kmeans_two,
     partition,
@@ -20,6 +19,13 @@ from queryfilter.threshold import (
 def split(scored):
     """The (ids, losses) arguments of :func:`partition` for (id, loss) pairs."""
     return [rid for rid, _ in scored], [loss for _, loss in scored]
+
+
+def partition_ids(scored, **kwargs):
+    """:func:`partition` on (id, loss) pairs: (retained ids, discarded ids, report)."""
+    ids, losses = split(scored)
+    keep, report = partition(ids, losses, **kwargs)
+    return [i for i, k in zip(ids, keep) if k], [i for i, k in zip(ids, keep) if not k], report
 
 
 def closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq):
@@ -177,7 +183,7 @@ class TestFitEmGmm:
         fields, converged = reference_em(x, max_iter=max_iter)
         fit = fit_em_gmm(x, max_iter=max_iter)
         assert (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq, fit.loglik_trace) == fields
-        assert fit.threshold == decision_threshold(GmmFit(*fields[:5], 0.0, (), True, False))
+        assert (fit.threshold, fit.fallback_midpoint) == dividing_point(*fields[:5])
         assert fit.converged == converged
 
     def test_converged_is_false_when_max_iter_ends_the_fit(self):
@@ -185,7 +191,7 @@ class TestFitEmGmm:
         assert fit_em_gmm(x).converged
         fit = fit_em_gmm(x, max_iter=2)
         assert not fit.converged and len(fit.loglik_trace) == 2
-        report = partition([f"r{i}" for i in range(20)], x, max_iter=2).report
+        _, report = partition([f"r{i}" for i in range(20)], x, max_iter=2)
         assert report["converged"] is False and report["fallback_midpoint"] is False
 
     def test_fallback_midpoint_when_no_crossing_lies_between_the_means(self):
@@ -195,7 +201,7 @@ class TestFitEmGmm:
         fit = fit_em_gmm(x)
         assert fit.fallback_midpoint and fit.converged
         assert fit.threshold == 0.5 * (fit.mu_q + fit.mu_uq)
-        assert partition([f"r{i}" for i in range(x.size)], x).report["fallback_midpoint"] is True
+        assert partition([f"r{i}" for i in range(x.size)], x)[1]["fallback_midpoint"] is True
         shifted = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(32.0, 72.0, 100)])
         assert not fit_em_gmm(shifted).fallback_midpoint
 
@@ -207,17 +213,15 @@ class TestFitEmGmm:
 
 class TestDecisionThreshold:
     def test_symmetric_midpoint(self):
-        fit = GmmFit(0.5, 0.0, 1.0, 4.0, 1.0, 0.0, (), True, False)
-        assert abs(decision_threshold(fit) - 2.0) < 1e-9
+        point, fallback = dividing_point(0.5, 0.0, 1.0, 4.0, 1.0)
+        assert abs(point - 2.0) < 1e-9 and not fallback
 
     def test_equal_variance_midpoint_with_any_means(self):
-        fit = GmmFit(0.5, 1.0, 0.7, 5.0, 0.7, 0.0, (), True, False)
-        assert abs(decision_threshold(fit) - 3.0) < 1e-9
+        assert abs(dividing_point(0.5, 1.0, 0.7, 5.0, 0.7)[0] - 3.0) < 1e-9
 
     def test_matches_closed_form_quadratic(self):
-        fit = GmmFit(0.6, 1.0, 0.5, 4.0, 0.5, 0.0, (), True, False)
         expected = closed_form_threshold(0.6, 1.0, 0.5, 4.0, 0.5)
-        assert abs(decision_threshold(fit) - expected) < 1e-6
+        assert abs(dividing_point(0.6, 1.0, 0.5, 4.0, 0.5)[0] - expected) < 1e-6
 
     def test_random_fits_match_oracle(self):
         rng = np.random.default_rng(7)
@@ -227,9 +231,8 @@ class TestDecisionThreshold:
             mu_uq = mu_q + rng.uniform(1.0, 4.0)
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
-            fit = GmmFit(pi, mu_q, sigma_q, mu_uq, sigma_uq, 0.0, (), True, False)
             expected = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
-            assert abs(decision_threshold(fit) - expected) < 1e-6
+            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)[0] - expected) < 1e-6
 
 
 class TestKmeansTwo:
@@ -254,26 +257,26 @@ class TestPartition:
         scored = [(f"lo{i}", 1.0 + 0.01 * i) for i in range(6)] + [
             (f"hi{i}", 9.0 + 0.01 * i) for i in range(4)
         ]
-        result = partition(*split(scored), strategy="gmm")
-        assert set(result.retained) == {f"lo{i}" for i in range(6)}
-        assert result.report["n_retained"] == 6
+        retained, _, report = partition_ids(scored, strategy="gmm")
+        assert set(retained) == {f"lo{i}" for i in range(6)}
+        assert report["n_retained"] == 6
 
     def test_percentile_half(self):
         scored = [(f"r{i}", float(i)) for i in range(10)]
-        result = partition(*split(scored), strategy="percentile", p=0.5)
-        assert set(result.retained) == {f"r{i}" for i in range(5)}
-        assert result.report["p"] == 0.5
+        retained, _, report = partition_ids(scored, strategy="percentile", p=0.5)
+        assert set(retained) == {f"r{i}" for i in range(5)}
+        assert report["p"] == 0.5
 
     def test_percentile_boundary_ties_by_id(self):
         scored = [("b", 1.0), ("a", 1.0), ("c", 1.0), ("d", 0.5)]
-        result = partition(*split(scored), strategy="percentile", p=0.5)
-        assert set(result.retained) == {"d", "a"}
+        retained, _, _ = partition_ids(scored, strategy="percentile", p=0.5)
+        assert set(retained) == {"d", "a"}
 
     def test_percentile_one_retains_everything(self):
         scored = [(f"r{i}", float(i)) for i in range(7)]
-        result = partition(*split(scored), strategy="percentile", p=1.0)
-        assert result.retained == [f"r{i}" for i in range(7)]
-        assert result.discarded == []
+        retained, discarded, _ = partition_ids(scored, strategy="percentile", p=1.0)
+        assert retained == [f"r{i}" for i in range(7)]
+        assert discarded == []
 
     def test_percentile_validation(self):
         scored = [("a", 1.0), ("b", 2.0)]
@@ -285,16 +288,16 @@ class TestPartition:
         scored = [(f"lo{i}", 1.0 + 0.1 * i) for i in range(5)] + [
             (f"hi{i}", 8.0 + 0.1 * i) for i in range(5)
         ]
-        result = partition(*split(scored), strategy="kmeans2")
-        assert set(result.retained) == {f"lo{i}" for i in range(5)}
+        retained, _, _ = partition_ids(scored, strategy="kmeans2")
+        assert set(retained) == {f"lo{i}" for i in range(5)}
 
     def test_keep_mask_matches_retained_and_compact_losses_accepted(self):
         ids = [f"r{i}" for i in range(10)]
         losses = array("d", [1.0 + 0.01 * i if i % 2 else 9.0 + 0.01 * i for i in range(10)])
-        result = partition(ids, losses, strategy="gmm")
-        assert result.retained == [rid for rid, keep in zip(ids, result.keep) if keep]
-        assert result.discarded == [rid for rid, keep in zip(ids, result.keep) if not keep]
-        assert result.retained == [f"r{i}" for i in range(1, 10, 2)]
+        keep, report = partition(ids, losses, strategy="gmm")
+        assert keep.dtype == bool and keep.shape == (10,)
+        assert keep.tolist() == [bool(i % 2) for i in range(10)]
+        assert report["n_retained"] == 5
         with pytest.raises(ValueError, match="length"):
             partition(ids, losses[:-1], strategy="gmm")
 
@@ -320,13 +323,11 @@ class TestPartition:
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         by_id = dict(scored)
         for strategy in ("gmm", "kmeans2"):
-            result = partition(*split(scored), strategy=strategy)
-            assert set(result.retained) | set(result.discarded) == set(by_id)
-            assert not set(result.retained) & set(result.discarded)
-            if result.retained and result.discarded:
-                assert max(by_id[i] for i in result.retained) <= min(
-                    by_id[i] for i in result.discarded
-                )
+            retained, discarded, _ = partition_ids(scored, strategy=strategy)
+            assert set(retained) | set(discarded) == set(by_id)
+            assert not set(retained) & set(discarded)
+            if retained and discarded:
+                assert max(by_id[i] for i in retained) <= min(by_id[i] for i in discarded)
 
     def test_gmm_retained_fraction_tracks_component_weight(self):
         rng = np.random.default_rng(20)
@@ -334,8 +335,8 @@ class TestPartition:
         from_q = rng.random(n) < 0.6
         losses = np.where(from_q, rng.normal(1.0, 0.25, n), rng.normal(4.0, 0.25, n))
         scored = [(f"r{i}", float(abs(v))) for i, v in enumerate(losses)]
-        result = partition(*split(scored), strategy="gmm")
-        assert abs(result.report["retained_fraction"] - 0.6) <= 0.02
+        _, _, report = partition_ids(scored, strategy="gmm")
+        assert abs(report["retained_fraction"] - 0.6) <= 0.02
 
     def test_membership_permutation_invariant(self):
         rng = np.random.default_rng(13)
@@ -343,6 +344,6 @@ class TestPartition:
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         shuffled = scored[::-1]
         for strategy, kwargs in (("gmm", {}), ("percentile", {"p": 0.4}), ("kmeans2", {})):
-            a = partition(*split(scored), strategy=strategy, **kwargs)
-            b = partition(*split(shuffled), strategy=strategy, **kwargs)
-            assert set(a.retained) == set(b.retained)
+            a, _, _ = partition_ids(scored, strategy=strategy, **kwargs)
+            b, _, _ = partition_ids(shuffled, strategy=strategy, **kwargs)
+            assert set(a) == set(b)
