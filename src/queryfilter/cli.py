@@ -2,8 +2,9 @@
 
 Stage outputs are always written to disk so a pipeline can resume per stage;
 diagnostics go to stderr, data to the configured files.  Exit codes: 0 on
-success, 2 for I/O problems, 3 for an empty training corpus, 4 for a
-checkpoint/vocabulary mismatch, 5 for missing scores, 1 otherwise.
+success, 2 for I/O problems, 3 when training failed (an empty corpus or a
+non-finite loss), 4 for a checkpoint/vocabulary mismatch, 5 for missing
+scores, 1 otherwise.
 
 The record stages stream: no stage holds its records.  What each keeps that
 grows with the corpus is named in its docstring, with its size per record
@@ -42,12 +43,6 @@ from .rules import apply_ruleset, ruleset_from_config
 from .threshold import partition
 from .vae import TrainingError, reconstruction_loss, train
 from .vocab import Vocabulary, build_vocab, tokenize
-
-EXIT_IO = 2
-EXIT_EMPTY_CORPUS = 3
-EXIT_VOCAB_MISMATCH = 4
-EXIT_MISSING_SCORES = 5
-
 
 class MissingScoreError(RuntimeError):
     pass
@@ -321,7 +316,11 @@ def _common_flags(sub: argparse.ArgumentParser, jobs_help: str | None = None) ->
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI; each file flag's dest is the [paths] field it overrides."""
+    """The CLI; each file flag's dest is the [paths] field it overrides.
+
+    Each subparser's ``handler`` looks its stage up as a module global when
+    it runs, so a stage replaced on this module is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="queryfilter",
         description="Clean comment-code corpora into query-quality training pairs.",
@@ -329,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rule-filter", help="apply the syntactic ruleset")
+    p.set_defaults(handler=lambda args: run_rule_filter(_load_cfg(args), args.quiet))
     _common_flags(p, "accepted and ignored: this stage runs in one process")
     p.add_argument("--input")
     p.add_argument("--retained", dest="rule_retained")
@@ -337,17 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-rule", action="append", default=[], metavar="RULE_ID")
 
     p = sub.add_parser("bootstrap", help="prepare the bootstrap query corpus from titles")
+    p.set_defaults(handler=lambda args: run_bootstrap(_load_cfg(args), args.quiet))
     _common_flags(p)
     p.add_argument("--input", dest="titles", help="question titles, one per line")
     p.add_argument("--output", dest="bootstrap")
 
     p = sub.add_parser("train", help="train the scoring model on the bootstrap corpus")
+    p.set_defaults(handler=lambda args: run_train(_load_cfg(args), args.quiet))
     _common_flags(p)
     p.add_argument("--bootstrap")
     p.add_argument("--checkpoint")
     p.add_argument("--vocabulary")
 
     p = sub.add_parser("score", help="attach reconstruction-loss scores to records")
+    p.set_defaults(handler=lambda args: run_score(_load_cfg(args), args.jobs, args.quiet))
     _common_flags(p, "worker processes for the score stage")
     p.add_argument("--input", dest="rule_retained")
     p.add_argument("--checkpoint")
@@ -355,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", dest="scored")
 
     p = sub.add_parser("partition", help="split scored records into retained/rejected")
+    p.set_defaults(handler=lambda args: run_partition(_load_cfg(args), args.strip_provenance,
+                                                      args.quiet))
     _common_flags(p, "accepted and ignored: this stage runs in one process")
     p.add_argument("--input", dest="scored")
     p.add_argument("--retained")
@@ -365,15 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strip-provenance", action="store_true")
 
     p = sub.add_parser("run", help="run all stages end to end")
+    p.set_defaults(handler=_run_all)
     _common_flags(p, "worker processes for the score stage")
     p.add_argument("--input")
     p.add_argument("--bootstrap")
 
     p = sub.add_parser("metrics", help="evaluate a JSONL rank file")
+    p.set_defaults(handler=_print_metrics)
     p.add_argument("rank_file")
     p.add_argument("--k", type=int, nargs="+", default=[1, 5, 10])
 
     p = sub.add_parser("sample-size", help="manual-inspection sample size")
+    p.set_defaults(handler=lambda args: print(sample_size(args.population, args.z, args.p, args.c)))
     p.add_argument("population", type=float)
     p.add_argument("--z", type=float, default=1.96)
     p.add_argument("--p", type=float, default=0.5)
@@ -400,88 +408,44 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_rule_filter(args) -> int:
-    run_rule_filter(_load_cfg(args), args.quiet)
-    return 0
-
-
-def cmd_bootstrap(args) -> int:
-    run_bootstrap(_load_cfg(args), args.quiet)
-    return 0
-
-
-def cmd_train(args) -> int:
-    run_train(_load_cfg(args), args.quiet)
-    return 0
-
-
-def cmd_score(args) -> int:
-    run_score(_load_cfg(args), args.jobs, args.quiet)
-    return 0
-
-
-def cmd_partition(args) -> int:
-    run_partition(_load_cfg(args), args.strip_provenance, args.quiet)
-    return 0
-
-
-def cmd_run(args) -> int:
+def _run_all(args) -> None:
     cfg = _load_cfg(args)
     run_rule_filter(cfg, args.quiet)
     run_train(cfg, args.quiet)
     run_score(cfg, args.jobs, args.quiet)
     run_partition(cfg, quiet=args.quiet)
-    return 0
 
 
-def cmd_metrics(args) -> int:
-    pairs = read_rank_file(args.rank_file)
-    ranks = [rank for _, rank in pairs]
+def _print_metrics(args) -> None:
+    ranks = [rank for _, rank in read_rank_file(args.rank_file)]
     out = {
         "n_queries": len(ranks),
         "mrr": mrr(ranks),
         "answered": {str(k): answered_at_k(ranks, k) for k in args.k},
     }
     print(json.dumps(out, indent=2))
-    return 0
 
 
-def cmd_sample_size(args) -> int:
-    print(sample_size(args.population, args.z, args.p, args.c))
-    return 0
-
-
-_COMMANDS = {
-    "rule-filter": cmd_rule_filter,
-    "bootstrap": cmd_bootstrap,
-    "train": cmd_train,
-    "score": cmd_score,
-    "partition": cmd_partition,
-    "run": cmd_run,
-    "metrics": cmd_metrics,
-    "sample-size": cmd_sample_size,
-}
+# Error class -> exit code; the first class that matches wins, so CorpusError
+# (a ValueError) exits 2.  Any other exception propagates.
+_ERROR_EXITS = (
+    (OSError, 2),
+    (CorpusError, 2),
+    (TrainingError, 3),
+    (CheckpointError, 4),
+    (MissingScoreError, 5),
+    (ValueError, 1),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (OSError, CorpusError) as exc:
+        args.handler(args)
+    except tuple(cls for cls, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_CORPUS
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VOCAB_MISMATCH
-    except MissingScoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_SCORES
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _ERROR_EXITS if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -64,16 +64,8 @@ class PipelineConfig:
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
 
 
-# INI section -> (PipelineConfig field it fills, "" for the top level; keys
-# the file may not set, since run_train derives them).
-_SECTIONS = {
-    "pipeline": ("", ()),
-    "paths": ("paths", ()),
-    "ruleset": ("ruleset", ()),
-    "tokenizer": ("tokenizer", ()),
-    "vae": ("vae", ("vocab_size", "seed", "max_len")),
-    "threshold": ("threshold", ()),
-}
+# The [vae] keys a file may not set, since run_train derives them.
+_DERIVED = {"vae": ("vocab_size", "seed", "max_len")}
 
 
 def _cast(current, raw: str):
@@ -88,15 +80,20 @@ def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
 
+    # Each nested dataclass field is a section; [pipeline] holds the rest.
     cfg = PipelineConfig()
+    sections = {f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section != "pipeline" and section not in sections:
             raise ValueError(f"unknown config section [{section}]")
-        attr, excluded = _SECTIONS[section]
-        target = getattr(cfg, attr) if attr else cfg
+        target = getattr(cfg, section) if section in sections else cfg
+        excluded = _DERIVED.get(section, ())
         known = {
             f.name for f in fields(target)
             if f.name not in excluded and not is_dataclass(getattr(target, f.name))
@@ -111,5 +108,5 @@ def load_config(path) -> PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from exc
         target = replace(target, **values)
-        cfg = replace(cfg, **{attr: target}) if attr else target
+        cfg = replace(cfg, **{section: target}) if section in sections else target
     return cfg

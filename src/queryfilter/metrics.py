@@ -32,14 +32,16 @@ def answered_at_k(ranks: Sequence[int | None], k: int) -> int:
 def sample_size(population: float, confidence_z: float = 1.96, p: float = 0.5, c: float = 0.05) -> int:
     """Cochran sample size with finite-population correction, rounded up.
 
-    ``population`` may be ``math.inf`` for the uncorrected limit.
+    ``population`` may be ``math.inf`` for the uncorrected limit; NaN is
+    rejected like every other bad argument, naming it.
     """
-    if population < 1:
-        raise ValueError("population must be >= 1")
+    if not population >= 1:
+        raise ValueError(f"population must be >= 1, got {population}")
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if c <= 0 or confidence_z <= 0:
-        raise ValueError("confidence_z and c must be positive")
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    for name, value in (("confidence_z", confidence_z), ("c", c)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     ss0 = confidence_z * confidence_z * p * (1.0 - p) / (c * c)
     ss = ss0 / (1.0 + (ss0 - 1.0) / population)
     return int(math.ceil(ss))

@@ -504,11 +504,12 @@ def greedy_generate(params: VaeParams, z: np.ndarray, max_len: int = 20) -> list
 class _Adam:
     """Adam over the named tensors, deterministic given the gradient stream."""
 
-    def __init__(self, params: VaeParams, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: VaeParams, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in named_tensors(params)}
         self.v = {name: np.zeros_like(p) for name, p in named_tensors(params)}
@@ -516,8 +517,8 @@ class _Adam:
     def update(self, params: VaeParams, grads: VaeParams, scale: float) -> None:
         """One step in place: for g = grad * scale,
 
-        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g;
-        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
+        m = BETA1 * m + (1 - BETA1) * g;  v = BETA2 * v + (1 - BETA2) * g * g;
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS),
 
         evaluated operation by operation in that order with ``out=`` ufuncs
         into two scratch buffers shared by all tensors.  The buffers live for
@@ -525,8 +526,8 @@ class _Adam:
         the next forward and backward pass and raise peak memory.
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         grad_tensors = dict(named_tensors(grads))
         size = max(p.size for _, p in named_tensors(params))
         scratch = (np.empty(size), np.empty(size))
@@ -535,18 +536,18 @@ class _Adam:
             m = self.m[name]
             v = self.v[name]
             np.multiply(grad_tensors[name], scale, out=g)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=tmp)
+            m *= self.BETA1
+            np.multiply(g, 1.0 - self.BETA1, out=tmp)
             m += tmp
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            v *= self.BETA2
+            np.multiply(g, 1.0 - self.BETA2, out=tmp)
             tmp *= g
             v += tmp
             np.divide(m, bc1, out=g)
             g *= self.lr
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += self.EPS
             g /= tmp
             p -= g
 

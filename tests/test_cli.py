@@ -8,12 +8,12 @@ import struct
 import numpy as np
 import pytest
 
-from queryfilter.checkpoint import load_checkpoint, save_checkpoint
+from queryfilter.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from queryfilter import cli, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
-from queryfilter.corpus import Record, read_jsonl, write_jsonl
-from queryfilter.vae import VaeConfig, init_params, named_tensors, reconstruction_loss
+from queryfilter.corpus import CorpusError, Record, read_jsonl, write_jsonl
+from queryfilter.vae import TrainingError, VaeConfig, init_params, named_tensors, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
 TABLE_EXAMPLES = [
@@ -371,6 +371,16 @@ def trained_pipeline(tmp_path):
 
 
 class TestTrainCommand:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on the way
+    def test_diverging_loss_exits_3_naming_the_step(self, tmp_path, capsys):
+        (tmp_path / "bootstrap.txt").write_text("convert string to int\nread a file\n",
+                                                encoding="utf-8")
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("learning_rate = 0.002", "learning_rate = 1e14"))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 3
+        assert "non-finite loss at optimizer step" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_artifacts_written(self, trained_pipeline):
         tmp_path, _ = trained_pipeline
         assert (tmp_path / "model.ckpt").exists()
@@ -781,6 +791,16 @@ class TestUtilityCommands:
         assert main(["sample-size", "394471"]) == 0
         assert capsys.readouterr().out.strip() == "384"
 
+    @pytest.mark.parametrize("argv, name", [
+        (["nan"], "population"),
+        (["100", "--z", "nan"], "confidence_z"),
+        (["100", "--c", "nan"], "c"),
+    ])
+    def test_sample_size_nan_exits_1_naming_the_argument(self, capsys, argv, name):
+        assert main(["sample-size", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must ") and captured.out == ""
+
 
 # (subcommand, file flag, [paths] field the flag overrides)
 FILE_FLAGS = [
@@ -878,6 +898,21 @@ class TestArgumentParsing:
         assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b"[pipeline]\nseed = 1\nseed = 2\n",
+        b"seed = 1\n[pipeline]\n",
+        b"[pipeline]\nseed\n",
+        b"[pipeline]\nseed = 1\n\xff\n",
+        b"[pipeline]\nseed = 1\n[pipeline]\nseed = 2\n",
+    ], ids=["repeated_key", "no_section_header", "key_without_value", "not_utf8",
+            "repeated_section"])
+    def test_config_file_that_does_not_parse_exits_1_naming_it(self, tmp_path, capsys, text):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_bytes(text)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and str(cfg) in err
+
     @pytest.mark.parametrize("command", [["metrics", "ranks.jsonl"], ["sample-size", "100"]],
                              ids=["metrics", "sample-size"])
     @pytest.mark.parametrize("flag", [["--config", "missing.ini"], ["--seed", "1"],
@@ -887,3 +922,38 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(command + flag)
         assert exc.value.code == 2
+
+
+# Every row of the exit table, stated here rather than read from cli so that
+# the order is pinned: CorpusError is a ValueError and must exit 2, not 1.
+ERROR_EXITS = [
+    (OSError, 2),
+    (FileNotFoundError, 2),
+    (CorpusError, 2),
+    (TrainingError, 3),
+    (CheckpointError, 4),
+    (cli.MissingScoreError, 5),
+    (ValueError, 1),
+]
+
+
+class TestDispatch:
+    def test_every_table_row_is_tested(self):
+        assert set(cli._ERROR_EXITS) <= set(ERROR_EXITS)
+
+    @pytest.mark.parametrize("error, code", ERROR_EXITS, ids=[c.__name__ for c, _ in ERROR_EXITS])
+    def test_error_class_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def failing(*args, **kwargs):
+            raise error("stage failed")
+
+        monkeypatch.setattr(cli, "run_partition", failing)
+        assert main(["partition", "--quiet"]) == code
+        assert capsys.readouterr().err == "error: stage failed\n"
+
+    def test_unlisted_error_propagates_from_the_patched_stage(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("not in the table")
+
+        monkeypatch.setattr(cli, "run_partition", failing)
+        with pytest.raises(RuntimeError, match="not in the table"):
+            main(["partition", "--quiet"])

@@ -189,3 +189,16 @@ class TestSampleSize:
             sample_size(100, p=1.5)
         with pytest.raises(ValueError):
             sample_size(100, c=0.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"population": math.nan}, "population"),
+        ({"p": math.nan}, "p"),
+        ({"confidence_z": math.nan}, "confidence_z"),
+        ({"confidence_z": math.inf}, "confidence_z"),
+        ({"c": math.nan}, "c"),
+        ({"c": math.inf}, "c"),
+    ])
+    def test_non_finite_argument_rejected_by_name(self, kwargs, name):
+        args = {"population": 100, **kwargs}
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            sample_size(**args)
