@@ -85,6 +85,8 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ValueError(f"unknown config section [{parser.default_section}]")
 
     # Each nested dataclass field is a section; [pipeline] holds the rest.
     cfg = PipelineConfig()

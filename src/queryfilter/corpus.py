@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
+import os
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .atomic import atomic_open
 
@@ -167,41 +172,119 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
+class IdColumn(Sequence[str]):
+    """An append-only sequence of ids, packed into one UTF-8 buffer.
+
+    A list of ``str`` costs about 70 B per 10-character id (the object and
+    its slot); here an id costs its UTF-8 bytes plus an 8 B end offset.  Ids
+    are encoded with ``surrogatepass``, since JSON admits lone surrogates
+    such as ``"\\ud800"``, so every ``str`` reads back exactly.
+    """
+
+    __slots__ = ("_data", "_ends")
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._ends = array("Q")
+
+    def append(self, id_: str) -> None:
+        self._data += id_.encode("utf-8", "surrogatepass")
+        self._ends.append(len(self._data))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i: int) -> str:
+        i = range(len(self._ends))[operator.index(i)]  # negative i; IndexError past the end
+        start = self._ends[i - 1] if i else 0
+        return self._data[start:self._ends[i]].decode("utf-8", "surrogatepass")
+
+    def __iter__(self) -> Iterator[str]:  # a quarter of the cost of indexing each id
+        data, start = self._data, 0
+        for end in self._ends:
+            yield data[start:end].decode("utf-8", "surrogatepass")
+            start = end
+
+
+# Reached through this name so that tests can make distinct ids collide.
+_hash = hash
+
+
 def read_jsonl(path, ids=None) -> Iterator[Record]:
     """Stream records from a JSONL file in file order.
 
     Raises :class:`CorpusError` with the offending line number on a line that
     is not UTF-8, malformed JSON, missing/ill-typed required fields, or a
-    duplicate id.  The duplicate check keeps every id seen, so its memory
-    grows with the number of records: about 120 B per record for a short id
-    (the string and its set slot).
+    duplicate id.  The duplicate check keeps one 8 B hash per record, not the
+    ids, and runs after the last record is yielded: a duplicate is reported
+    after the whole file has been read, so a malformed line later in the file
+    is reported first, and a caller that stops iterating early gets no
+    duplicate check.  Equal hashes, from a repeated id or a 64-bit collision,
+    make it read the file again to name the first repeat in file order;
+    distinct ids that collide raise nothing.  An input that cannot be read
+    twice, such as a pipe, still works, but with a duplicate it raises the
+    "changed while it was read" error.
 
     ``ids`` reads the file a second time: a first read found ``ids`` there,
     and record i must carry ``ids[i]``.  A record with another id, a record
     past them, or a file that ends before them means the file changed
-    between the reads, and raises :class:`CorpusError`.  No id set is kept,
+    between the reads, and raises :class:`CorpusError`.  No hashes are kept,
     since the first read already rejected duplicates.
     """
     if ids is None:
-        seen_ids: set[str] = set()
+        hashes = array("q")
         for line_no, obj in iter_json_objects(path):
             record = _record_from_obj(obj, line_no)
-            if record.id in seen_ids:
-                raise CorpusError(f'duplicate id "{record.id}"', line_no)
-            seen_ids.add(record.id)
+            hashes.append(_hash(record.id))
             yield record
+        # Sorted in place through a view: neighbours compare with no index array.
+        view = np.frombuffer(hashes, dtype=np.int64)
+        view.sort()
+        if (view[1:] == view[:-1]).any():
+            _raise_first_duplicate(path, view)
         return
-    n = len(ids)
-    i = -1
-    for i, (line_no, obj) in enumerate(iter_json_objects(path)):
+    expected = iter(ids)
+    count = 0
+    for count, (line_no, obj) in enumerate(iter_json_objects(path), start=1):
         record = _record_from_obj(obj, line_no)
-        if i >= n or record.id != ids[i]:
-            raise CorpusError(f"{path} changed while it was read: record {i + 1} "
+        if record.id != next(expected, None):
+            raise CorpusError(f"{path} changed while it was read: record {count} "
                               "differs from the first read")
         yield record
-    if i + 1 != n:
-        raise CorpusError(f"{path} changed while it was read: it holds {i + 1} records, "
-                          f"not the {n} of the first read")
+    if count != len(ids):
+        raise CorpusError(f"{path} changed while it was read: it holds {count} records, "
+                          f"not the {len(ids)} of the first read")
+
+
+def _raise_first_duplicate(path, sorted_hashes: np.ndarray) -> None:
+    """Read ``path`` again and raise for its first repeated id in file order.
+
+    ``sorted_hashes`` holds the first read's id hashes, sorted.  Only ids
+    whose hash repeats there are kept.  A second read whose hashes are not
+    the first read's raises "changed while it was read"; one that finds no
+    repeat returns, since the equal hashes were a collision.
+    """
+    changed = f"{path} changed while it was read"
+    if not os.path.isfile(path):  # a pipe would read empty, a named one could block
+        raise CorpusError(f"{changed}: it cannot be read again to name the repeated id")
+    repeats = set(sorted_hashes[1:][sorted_hashes[1:] == sorted_hashes[:-1]].tolist())
+    hashes, seen, first = array("q"), set(), None
+    try:
+        for line_no, obj in iter_json_objects(path):
+            id_ = _record_from_obj(obj, line_no).id
+            hashes.append(_hash(id_))
+            if first is None and hashes[-1] in repeats:
+                if id_ in seen:
+                    first = CorpusError(f'duplicate id "{id_}"', line_no)
+                seen.add(id_)
+    except CorpusError as exc:
+        raise CorpusError(f"{changed}: {exc}") from exc
+    again = np.frombuffer(hashes, dtype=np.int64)
+    again.sort()
+    if not np.array_equal(again, sorted_hashes):
+        raise CorpusError(f"{changed}: its ids differ from the first read")
+    if first is not None:
+        raise first
 
 
 def _json_encoder() -> Callable[[object], str]:

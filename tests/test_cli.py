@@ -913,6 +913,15 @@ class TestArgumentParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: config file ") and str(cfg) in err
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                      "[DEFAULT]\nseed = 3\n[paths]\ninput = x.jsonl\n"],
+                             ids=["alone", "beside_paths"])
+    def test_default_section_exits_1_as_unknown(self, tmp_path, capsys, text):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+
     @pytest.mark.parametrize("command", [["metrics", "ranks.jsonl"], ["sample-size", "100"]],
                              ids=["metrics", "sample-size"])
     @pytest.mark.parametrize("flag", [["--config", "missing.ini"], ["--seed", "1"],

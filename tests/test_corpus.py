@@ -1,12 +1,15 @@
 """Record I/O, first-sentence extraction, and bootstrap preparation."""
 
 import json
+import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from queryfilter import corpus
+from queryfilter.cli import main
 from queryfilter.corpus import (
     BootstrapStats,
     CorpusError,
@@ -193,6 +196,148 @@ class TestReadJsonl:
         out = tmp_path / "out.jsonl"
         write_jsonl([rec], out)
         assert out.read_text(encoding="utf-8") == json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def _reference_read(path):
+    """The duplicate check with a set of every id: all records, then the first repeat."""
+    records, seen, first = [], set(), None
+    for line_no, obj in corpus.iter_json_objects(path):
+        record = corpus._record_from_obj(obj, line_no)
+        if first is None and record.id in seen:
+            first = (line_no, record.id)
+        seen.add(record.id)
+        records.append(record)
+    return records, first
+
+
+def _read_all(path):
+    """``read_jsonl``'s records up to its error, and the (line, id) of a duplicate."""
+    records = []
+    try:
+        for record in read_jsonl(path):
+            records.append(record)
+    except CorpusError as exc:
+        match = re.fullmatch(r'line (\d+): duplicate id "(.*)"', str(exc), re.DOTALL)
+        assert match and int(match[1]) == exc.line_no, str(exc)
+        return records, (exc.line_no, match[2])
+    return records, None
+
+
+_lines = st.lists(
+    st.sampled_from(["", "  ", "\t"])
+    | st.builds(lambda rid, comment: json.dumps({"id": rid, "comment": comment, "code": "c"}),
+                st.text("abé", max_size=2), st.sampled_from(["x", "y"])),
+    max_size=12,
+)
+
+
+class TestDuplicateCheck:
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(_lines, st.sampled_from(["\n", "\r\n"]))
+    def test_matches_a_set_of_every_id(self, tmp_path_factory, lines, newline):
+        f = tmp_path_factory.mktemp("dup") / "in.jsonl"
+        f.write_bytes(newline.join(lines).encode("utf-8"))
+        assert _read_all(f) == _reference_read(f)
+
+    @pytest.mark.parametrize("ids, first", [
+        (["a", "b", "c", "d"], None),
+        (["a", "b", "c", "b", "a"], (4, "b")),
+        (["a", "", "b", "", "c"], (4, "")),
+    ])
+    def test_distinct_ids_whose_hashes_collide_raise_nothing(self, tmp_path, monkeypatch,
+                                                             ids, first):
+        monkeypatch.setattr(corpus, "_hash", lambda id_: 7)
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, [json.dumps({"id": rid, "comment": "x", "code": "y"}) for rid in ids])
+        records, duplicate = _read_all(f)
+        assert [r.id for r in records] == ids
+        assert duplicate == first
+
+    def test_a_repeat_is_reported_after_the_last_record(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y"}',
+                         '{"id":"a","comment":"z","code":"w"}',
+                         "{not json"])
+        with pytest.raises(CorpusError, match="^line 3: malformed JSON"):
+            list(read_jsonl(f))
+        stream = read_jsonl(f)
+        assert next(stream).id == "a" and next(stream).id == "a"
+        stream.close()  # a caller that stops early gets no duplicate check
+
+    @pytest.mark.parametrize("rewrite, detail", [
+        (lambda lines: lines[:-1], "its ids differ from the first read"),
+        (lambda lines: lines + [lines[0]], "its ids differ from the first read"),
+        (lambda lines: lines[:1] + ["{not json"] + lines[1:], "line 2: malformed JSON"),
+    ], ids=["repeat_removed", "record_added", "line_broken"])
+    def test_input_changed_before_the_confirming_read_exits_2(self, tmp_path, monkeypatch,
+                                                              capsys, rewrite, detail):
+        path = tmp_path / "pairs.jsonl"
+        lines = [json.dumps({"id": f"r{i}", "comment": "Parse the value.", "code": "y"})
+                 for i in range(5)]
+        _write_lines(path, lines + [lines[2]])
+        reads, real = [], corpus.iter_json_objects
+
+        def iter_json_objects(p):
+            reads.append(p)
+            if len(reads) == 2:
+                _write_lines(path, rewrite(path.read_text(encoding="utf-8").splitlines()))
+            return real(p)
+
+        monkeypatch.setattr(corpus, "iter_json_objects", iter_json_objects)
+        out = tmp_path / "out"
+        assert main(["rule-filter", "--quiet", "--input", str(path), "--retained", str(out),
+                     "--rejects", str(tmp_path / "rejects"),
+                     "--stats", str(tmp_path / "stats")]) == 2
+        assert len(reads) == 2
+        assert f"error: {path} changed while it was read: {detail}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("ids", [["a", "b"], ["a", "b", "a"]])
+    def test_pipe_reads_once_and_cannot_confirm_a_repeat(self, ids):
+        r, w = os.pipe()
+        try:
+            with os.fdopen(w, "w", encoding="utf-8") as fh:
+                for rid in ids:
+                    fh.write(json.dumps({"id": rid, "comment": "x", "code": "y"}) + "\n")
+            stream = read_jsonl(f"/dev/fd/{r}")
+            if len(set(ids)) == len(ids):
+                assert [rec.id for rec in stream] == ids
+            else:
+                with pytest.raises(CorpusError, match="changed while it was read: it cannot "
+                                                      "be read again"):
+                    list(stream)
+        finally:
+            os.close(r)
+
+
+class TestIdColumn:
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_round_trips_every_id(self, n):
+        ids = [f"r{i}" * (i % 4) for i in range(n)]  # empty ids included
+        column = corpus.IdColumn()
+        for rid in ids:
+            column.append(rid)
+        assert len(column) == n and list(column) == ids == [column[i] for i in range(n)]
+        if n:
+            assert column[-1] == ids[-1] and column[np.int64(n - 1)] == ids[-1]
+        with pytest.raises(IndexError):
+            column[n]
+
+    def test_round_trips_non_ascii_and_lone_surrogate_ids(self, tmp_path):
+        ids = ["", "é", "中文", "\U0001f600", "\ud800", "a\udfffb", "𐀀"]
+        column = corpus.IdColumn()
+        for rid in ids:
+            column.append(rid)
+        assert [column[i] for i in range(len(ids))] == ids
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"\\ud800","comment":"x","code":"y"}',
+                         '{"id":"\\u00e9","comment":"x","code":"y"}'])
+        first = corpus.IdColumn()
+        for record in read_jsonl(f):
+            first.append(record.id)
+        assert list(first) == ["\ud800", "é"]
+        assert [r.id for r in read_jsonl(f, first)] == ["\ud800", "é"]
 
 
 class TestWriteJsonl:

@@ -23,12 +23,13 @@ WORDS = ("convert", "read", "write", "parse", "string", "file", "list", "value",
          "stream", "buffer", "index", "from", "into", "the", "a", "to", "with")
 CODE = "public static int parse(String text) { return Integer.parseInt(text.trim()); }"
 
-# Measured per extra record with N = 500: rule-filter 124 B (the duplicate-id
-# set), partition 135 B (ids and scores) and score 255 B (ids and encoded
-# comments); a stage that keeps every Record grows by 814, 747 and 734 B, and
-# a partition that also keeps a second id set, the fit's id lists and its EM
-# temporaries by 211 B.  The bounds leave room for container resizes.
-BOUND = {"rule_filter": 200, "partition": 200, "score": 450}
+# Measured per extra record with N = 500: rule-filter 8 B (one id hash),
+# partition 39 B (packed ids and scores) and score 207 B (packed ids and
+# encoded comments).  A stage that keeps every Record grows by 814, 747 and
+# 734 B, a rule-filter that keeps a set of every id by 124 B, and a partition
+# that keeps its ids as a list of str by 135 B.  The bounds leave room for
+# container resizes.
+BOUND = {"rule_filter": 40, "partition": 80, "score": 300}
 
 
 def _comment(rng: random.Random, i: int) -> str:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from queryfilter.corpus import IdColumn
 from queryfilter.threshold import (
     SIGMA_FLOOR,
     dividing_point,
@@ -271,6 +272,18 @@ class TestPartition:
         scored = [("b", 1.0), ("a", 1.0), ("c", 1.0), ("d", 0.5)]
         retained, _, _ = partition_ids(scored, strategy="percentile", p=0.5)
         assert set(retained) == {"d", "a"}
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.7])
+    def test_percentile_id_column_gives_the_list_mask_on_tied_losses(self, p):
+        ids = ["é", "b", "", "a\ud800", "ab", "a", "z", "ä", "b0", "\U0001f600"] * 3
+        ids = [f"{rid}{i // 10}" for i, rid in enumerate(ids)]
+        losses = [float(i % 3) for i in range(len(ids))]
+        column = IdColumn()
+        for rid in ids:
+            column.append(rid)
+        keep, report = partition(column, losses, strategy="percentile", p=p)
+        expected, expected_report = partition(ids, losses, strategy="percentile", p=p)
+        assert keep.tolist() == expected.tolist() and report == expected_report
 
     def test_percentile_one_retains_everything(self):
         scored = [(f"r{i}", float(i)) for i in range(7)]
