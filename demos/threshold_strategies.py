@@ -5,7 +5,7 @@ Run with: python demos/threshold_strategies.py
 
 import numpy as np
 
-from queryfilter import fit_em_gmm, partition
+from queryfilter import dividing_point, fit_em_gmm, partition
 
 rng = np.random.default_rng(1)
 
@@ -21,7 +21,8 @@ print("EM mixture fit:")
 print(f"  qualified   ~ N({fit.mu_q:.3f}, {fit.sigma_q:.3f}^2)  weight {fit.pi:.3f}")
 print(f"  unqualified ~ N({fit.mu_uq:.3f}, {fit.sigma_uq:.3f}^2)")
 print(f"  log-likelihood improved over {len(fit.loglik_trace)} iterations")
-print(f"  dividing point (posterior = 0.5): {fit.threshold:.4f}")
+cut = dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)
+print(f"  dividing point (posterior = 0.5): {cut:.4f}")
 print()
 
 for strategy, kwargs in [

@@ -11,7 +11,6 @@ Run with: python demos/train_and_score.py
 import numpy as np
 
 from queryfilter import VaeConfig, build_vocab, reconstruction_loss, tokenize, train
-from queryfilter.vae import greedy_generate
 
 rng = np.random.default_rng(0)
 
@@ -51,8 +50,3 @@ print("\nreconstruction loss (nats/token):")
 scores = reconstruction_loss(params, [vocab.encode(tokenize(t), max_len=12) for t in probes])
 for text, score in zip(probes, scores):
     print(f"  {text!r:35} {score:6.3f}")
-
-# The decoder's greedy output at the prior mean is the corpus's "most
-# typical" sentence shape; scoring, not generation, is the production use.
-modal = " ".join(vocab.decode(greedy_generate(params, np.zeros(config.latent_dim))))
-print(f"\nmodal decode at z = 0: {modal!r}")

@@ -2,8 +2,11 @@
 
 The primary strategy fits a two-component 1-D Gaussian mixture to the
 reconstruction losses by expectation-maximization and cuts at the point
-where the posterior responsibility of the low-loss component drops to 0.5.
-Percentile and two-means partitions are provided as alternatives.
+where the posterior responsibility of the low-loss component drops to 0.5,
+solved in closed form: between the two means when a crossing lies there,
+else at the upper crossing when the low-loss component is the narrower one.
+A fit with neither is refused.  Percentile and two-means partitions are
+provided as alternatives.
 """
 
 from __future__ import annotations
@@ -27,55 +30,40 @@ class GmmFit:
     sigma_q: float
     mu_uq: float
     sigma_uq: float
-    threshold: float
     loglik_trace: tuple[float, ...]
     converged: bool  # False when EM stopped at max_iter, not at tol
-    fallback_midpoint: bool  # True when the threshold is the means' midpoint
 
 
-def _norm_logpdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    return -0.5 * _LOG_2PI - math.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
-
-
-def _posterior_gap(x, pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
-    # Positive while the qualified component dominates at x.
-    return (math.log(pi) + float(_norm_logpdf(np.float64(x), mu_q, sigma_q))) - (
-        math.log(1.0 - pi) + float(_norm_logpdf(np.float64(x), mu_uq, sigma_uq))
-    )
-
-
-def dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> tuple[float, bool]:
-    """Root of equal posterior responsibility inside (mu_q, mu_uq), by bisection.
+def dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) -> float:
+    """Where the posterior of the component at ``mu_q`` falls to 0.5.
 
     The arguments are a mixture's parameters as in :class:`GmmFit`, with
     ``mu_q <= mu_uq`` and ``pi`` the weight of the component at ``mu_q``.
-    Restricting the search to the open interval between the means keeps the
-    retained region contiguous; without a sign change there, the midpoint is
-    the documented fallback.  Returns the point and whether it is that
-    fallback.
+    The gap ``log pi N(x; mu_q, sigma_q) - log (1 - pi) N(x; mu_uq, sigma_uq)``
+    is ``a x^2 + b x + c``, with roots taken in the cancellation-free form
+    ``q / a`` and ``c / q``.  The gap falls strictly between the means, so a
+    root there is the cut.  Without one, a narrower component at ``mu_q`` is
+    cut at the upper root.  Any other mixture has no cut of the form
+    ``loss <= t`` and raises :class:`ValueError`.
     """
-    lo, hi = mu_q, mu_uq
-    if hi - lo <= 0:
-        return 0.5 * (lo + hi), True
-    args = (pi, mu_q, sigma_q, mu_uq, sigma_uq)
-    f_lo = _posterior_gap(lo, *args)
-    f_hi = _posterior_gap(hi, *args)
-    if f_lo == 0.0:
-        return lo, False
-    if f_hi == 0.0:
-        return hi, False
-    if (f_lo > 0) == (f_hi > 0):
-        return 0.5 * (lo + hi), True
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        f_mid = _posterior_gap(mid, *args)
-        if f_mid == 0.0:
-            return mid, False
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
+    a = 0.5 / sigma_uq**2 - 0.5 / sigma_q**2
+    b = mu_q / sigma_q**2 - mu_uq / sigma_uq**2
+    c = (0.5 * (mu_uq / sigma_uq) ** 2 - 0.5 * (mu_q / sigma_q) ** 2
+         + math.log(pi * sigma_uq / ((1.0 - pi) * sigma_q)))
+    disc = b * b - 4.0 * a * c
+    if disc > 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = (c / q, q / a) if a else (c / q,)
+        for root in roots:
+            if mu_q < root < mu_uq:
+                return root
+        if sigma_q < sigma_uq:
+            return max(roots)
+    raise ValueError(
+        f"the gmm fit (pi {pi:.6g}, mu_q {mu_q:.6g}, sigma_q {sigma_q:.6g}, mu_uq {mu_uq:.6g}, "
+        f"sigma_uq {sigma_uq:.6g}) has no cut where the low-loss component's posterior "
+        "falls to 0.5; use --strategy percentile"
+    )
 
 
 def fit_em_gmm(
@@ -165,17 +153,14 @@ def fit_em_gmm(
         mu_q, mu_uq = mu_uq, mu_q
         sigma_q, sigma_uq = sigma_uq, sigma_q
 
-    threshold, fallback = dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)
     return GmmFit(
         pi=pi,
         mu_q=mu_q,
         sigma_q=sigma_q,
         mu_uq=mu_uq,
         sigma_uq=sigma_uq,
-        threshold=threshold,
         loglik_trace=tuple(trace),
         converged=converged,
-        fallback_midpoint=fallback,
     )
 
 
@@ -221,7 +206,7 @@ def partition(
 
     ``losses[i]`` is the loss of the record ``ids[i]``; a compact sequence
     such as ``array('d')`` is read without copying.  Strategies: ``gmm``
-    retains losses at or below the mixture dividing point; ``percentile``
+    retains losses at or below the mixture's :func:`dividing_point`; ``percentile``
     retains the floor(p * n) smallest losses with boundary ties broken by
     ascending id; ``kmeans2`` retains the cluster around the lower center.
     Returns ``(keep, report)``: a bool mask, True at each retained input
@@ -238,9 +223,10 @@ def partition(
     report: dict = {"strategy": strategy, "n_input": len(ids)}
     if strategy == "gmm":
         fit = fit_em_gmm(losses, max_iter=max_iter, tol=tol)
-        keep_mask = losses <= fit.threshold
+        threshold = dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)
+        keep_mask = losses <= threshold
         report.update(
-            threshold=fit.threshold,
+            threshold=threshold,
             pi=fit.pi,
             mu_q=fit.mu_q,
             sigma_q=fit.sigma_q,
@@ -248,7 +234,6 @@ def partition(
             sigma_uq=fit.sigma_uq,
             em_iterations=len(fit.loglik_trace),
             converged=fit.converged,
-            fallback_midpoint=fit.fallback_midpoint,
         )
     elif strategy == "percentile":
         if p is None or not 0.0 < p <= 1.0:

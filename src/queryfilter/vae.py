@@ -485,22 +485,6 @@ def reconstruction_loss(params: VaeParams, sequences: Sequence[Sequence[int]]) -
     return scores
 
 
-def greedy_generate(params: VaeParams, z: np.ndarray, max_len: int = 20) -> list[int]:
-    """Free-running argmax decoding from a latent vector (qualitative use only)."""
-    s = (np.asarray(z) @ params.dec_init_w.T + params.dec_init_b)[None]
-    no_pad = np.zeros((1, 1, 1), dtype=bool)
-    out: list[int] = []
-    token = BOS
-    for _ in range(max_len):
-        states, _ = _gru_forward(params.dec, params.embedding[[[token]]], no_pad, s)
-        s = states[-1]
-        token = int(np.argmax(s[0] @ params.out_w.T + params.out_b))
-        if token == EOS:
-            break
-        out.append(token)
-    return out
-
-
 class _Adam:
     """Adam over the named tensors, deterministic given the gradient stream."""
 

@@ -158,7 +158,7 @@ def test_criterion_4_threshold_oracle():
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
             oracle = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
-            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)[0] - oracle) <= 1e-6
+            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) - oracle) <= 1e-6
 
 
 TEMPLATES = [

@@ -653,6 +653,21 @@ class TestPartitionCommand:
             assert not (tmp_path / name).exists()
         assert temp_files(tmp_path) == []
 
+    def test_mixture_without_a_cut_exits_1_before_any_output(self, tmp_path, capsys):
+        # A narrow high-mean cluster inside a wide low-mean one: no crossing lies
+        # between the means, and the low-loss component is the wider one.
+        scores = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(29.0, 69.0, 100)])
+        lines = [json.dumps({"id": f"r{i}", "comment": "c", "code": "x", "score": float(score)})
+                 for i, score in enumerate(scores)]
+        (tmp_path / "scored.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--strategy percentile" in err
+        for name in ("retained.jsonl", "semantic_rejects.jsonl", "report.json"):
+            assert not (tmp_path / name).exists()
+        assert temp_files(tmp_path) == []
+
     def test_retained_and_rejects_on_one_file_exit_1(self, tmp_path, capsys):
         write_scored(tmp_path / "scored.jsonl", 30)
         cfg = small_config(tmp_path)

@@ -1,8 +1,9 @@
 """Peak memory of the record stages grows only by the state they must keep.
 
-Each stage runs on N and on 4N records under ``tracemalloc``; the growth of
-its traced peak, divided by the 3N extra records, is held to a per-record
-bound.  A warm-up run before the first measurement keeps one-time imports
+Each stage runs on n and on 4n records under ``tracemalloc``; the growth of
+its traced peak, divided by the 3n extra records, is held to a per-record
+bound.  n is N, or 10 N for partition, whose EM fit sets its peak only at
+that size.  A warm-up run before the first measurement keeps one-time imports
 and caches out of the figure.
 """
 
@@ -23,12 +24,14 @@ WORDS = ("convert", "read", "write", "parse", "string", "file", "list", "value",
          "stream", "buffer", "index", "from", "into", "the", "a", "to", "with")
 CODE = "public static int parse(String text) { return Integer.parseInt(text.trim()); }"
 
-# Measured per extra record with N = 500: rule-filter 8 B (one id hash),
-# partition 39 B (packed ids and scores) and score 207 B (packed ids and
-# encoded comments).  A stage that keeps every Record grows by 814, 747 and
-# 734 B, a rule-filter that keeps a set of every id by 124 B, and a partition
-# that keeps its ids as a list of str by 135 B.  The bounds leave room for
-# container resizes.
+# Measured per extra record: rule-filter 8 B (one id hash), partition 60 B
+# (packed ids and scores, the keep mask and four float64 EM buffers) and score
+# 207 B (packed ids and encoded comments).  With N = 500 for every stage, a
+# stage that keeps every Record grows by 814, 747 and 734 B, a rule-filter
+# that keeps a set of every id by 124 B, and a partition that keeps its ids as
+# a list of str by 135 B.  A partition whose EM makes new arrays for every
+# expression grows by 92 B at 10 N but only 81 B at N.  The bounds leave room
+# for container resizes.
 BOUND = {"rule_filter": 40, "partition": 80, "score": 300}
 
 
@@ -64,9 +67,9 @@ def cfg(tmp_path):
 
 
 STAGES = {
-    "rule_filter": ("input", False, lambda c: cli.run_rule_filter(c, quiet=True)),
-    "partition": ("scored", True, lambda c: cli.run_partition(c, quiet=True)),
-    "score": ("rule_retained", False, lambda c: cli.run_score(c, quiet=True)),
+    "rule_filter": ("input", False, N, lambda c: cli.run_rule_filter(c, quiet=True)),
+    "partition": ("scored", True, 10 * N, lambda c: cli.run_partition(c, quiet=True)),
+    "score": ("rule_retained", False, N, lambda c: cli.run_score(c, quiet=True)),
 }
 
 
@@ -81,12 +84,12 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_peak_grows_only_by_the_kept_state(cfg, stage):
-    field, scored, run = STAGES[stage]
+    field, scored, size, run = STAGES[stage]
     peaks = []
-    for n in (N, 4 * N):
+    for n in (size, 4 * size):
         _write_rows(getattr(cfg.paths, field), n, scored)
         if not peaks:
             run(cfg)  # a first call's imports and caches are not per-record state
         peaks.append(_traced_peak(lambda: run(cfg)))
-    per_record = (peaks[1] - peaks[0]) / (3 * N)
-    assert per_record < BOUND[stage], f"{stage}: {per_record:.0f} B per extra record"
+    per_record = (peaks[1] - peaks[0]) / (3 * size)
+    assert per_record < BOUND[stage], f"{stage}: {per_record:.1f} B per extra record"

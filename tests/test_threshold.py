@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from queryfilter.corpus import IdColumn
 from queryfilter.threshold import (
@@ -59,10 +59,24 @@ def _reference_logpdf(x, mu, sigma):
     return -0.5 * math.log(2.0 * math.pi) - math.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
 
 
+def gap(x, pi, mu_q, sigma_q, mu_uq, sigma_uq):
+    """log pi N(x; mu_q, sigma_q) - log (1 - pi) N(x; mu_uq, sigma_uq), term by term:
+    positive where the component at ``mu_q`` holds the posterior majority."""
+    return (math.log(pi) + _reference_logpdf(x, mu_q, sigma_q)) - (
+        math.log(1.0 - pi) + _reference_logpdf(x, mu_uq, sigma_uq)
+    )
+
+
+def assert_falls_through_zero(t, *mixture):
+    """``gap`` is positive just below ``t`` and negative just above it."""
+    eps = 1e-7 * (abs(t) + mixture[2] + mixture[4])
+    assert gap(t - eps, *mixture) > 0 > gap(t + eps, *mixture)
+
+
 def reference_em(x, max_iter=200, tol=1e-8):
     """EM as first written, with new arrays for every expression: the oracle
-    :func:`fit_em_gmm` must match bit for bit.  Returns the fit's fields but
-    the threshold and whether the gain fell below ``tol``.
+    :func:`fit_em_gmm` must match bit for bit.  Returns the mixture and its
+    trace, and whether the gain fell below ``tol``.
     """
     x = np.asarray(x, dtype=np.float64)
     mu_q = float(np.percentile(x, 25))
@@ -184,7 +198,6 @@ class TestFitEmGmm:
         fields, converged = reference_em(x, max_iter=max_iter)
         fit = fit_em_gmm(x, max_iter=max_iter)
         assert (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq, fit.loglik_trace) == fields
-        assert (fit.threshold, fit.fallback_midpoint) == dividing_point(*fields[:5])
         assert fit.converged == converged
 
     def test_converged_is_false_when_max_iter_ends_the_fit(self):
@@ -193,18 +206,24 @@ class TestFitEmGmm:
         fit = fit_em_gmm(x, max_iter=2)
         assert not fit.converged and len(fit.loglik_trace) == 2
         _, report = partition([f"r{i}" for i in range(20)], x, max_iter=2)
-        assert report["converged"] is False and report["fallback_midpoint"] is False
+        assert report["converged"] is False
 
-    def test_fallback_midpoint_when_no_crossing_lies_between_the_means(self):
+    def test_upper_root_when_no_crossing_lies_between_the_means(self):
         # A narrow cluster inside a wide one whose mean lies just above it: the
-        # narrow component dominates over the whole interval between the means.
+        # narrow component dominates over the whole interval between the means,
+        # and its posterior falls to 0.5 only above the wide component's mean.
         x = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(31.0, 71.0, 100)])
         fit = fit_em_gmm(x)
-        assert fit.fallback_midpoint and fit.converged
-        assert fit.threshold == 0.5 * (fit.mu_q + fit.mu_uq)
-        assert partition([f"r{i}" for i in range(x.size)], x)[1]["fallback_midpoint"] is True
+        mixture = (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)
+        assert fit.converged and fit.sigma_q < fit.sigma_uq
+        keep, report = partition([f"r{i}" for i in range(x.size)], x)
+        assert report["threshold"] == dividing_point(*mixture) > fit.mu_uq
+        assert_falls_through_zero(report["threshold"], *mixture)
+        assert keep[:900].all() and report["n_retained"] < x.size
         shifted = np.concatenate([np.linspace(49.0, 51.0, 900), np.linspace(32.0, 72.0, 100)])
-        assert not fit_em_gmm(shifted).fallback_midpoint
+        fit = fit_em_gmm(shifted)
+        assert fit.mu_q < dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq,
+                                         fit.sigma_uq) < fit.mu_uq
 
     def test_one_iteration_and_zero_tol_accepted(self):
         x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
@@ -214,15 +233,14 @@ class TestFitEmGmm:
 
 class TestDecisionThreshold:
     def test_symmetric_midpoint(self):
-        point, fallback = dividing_point(0.5, 0.0, 1.0, 4.0, 1.0)
-        assert abs(point - 2.0) < 1e-9 and not fallback
+        assert abs(dividing_point(0.5, 0.0, 1.0, 4.0, 1.0) - 2.0) < 1e-9
 
     def test_equal_variance_midpoint_with_any_means(self):
-        assert abs(dividing_point(0.5, 1.0, 0.7, 5.0, 0.7)[0] - 3.0) < 1e-9
+        assert abs(dividing_point(0.5, 1.0, 0.7, 5.0, 0.7) - 3.0) < 1e-9
 
     def test_matches_closed_form_quadratic(self):
         expected = closed_form_threshold(0.6, 1.0, 0.5, 4.0, 0.5)
-        assert abs(dividing_point(0.6, 1.0, 0.5, 4.0, 0.5)[0] - expected) < 1e-6
+        assert abs(dividing_point(0.6, 1.0, 0.5, 4.0, 0.5) - expected) < 1e-6
 
     def test_random_fits_match_oracle(self):
         rng = np.random.default_rng(7)
@@ -233,7 +251,35 @@ class TestDecisionThreshold:
             sigma_q = rng.uniform(0.1, 0.8)
             sigma_uq = rng.uniform(0.1, 0.8)
             expected = closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq)
-            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq)[0] - expected) < 1e-6
+            assert abs(dividing_point(pi, mu_q, sigma_q, mu_uq, sigma_uq) - expected) < 1e-6
+
+    # Spreads and sigma ratios are exact or clear of the degenerate values: a
+    # tiny spread hides gap's fall between the means in rounding, and a sigma
+    # ratio a few ulps from 1 puts a root where float64 cannot evaluate gap.
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(-10.0, 10.0), st.floats(0.05, 5.0),
+           st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+           st.one_of(st.just(1.0), st.floats(0.1, 0.99), st.floats(1.01, 10.0)))
+    def test_cut_is_where_the_posterior_falls_to_half(self, pi, mu_q, sigma_q, spread, ratio):
+        mixture = (pi, mu_q, sigma_q, mu_q + spread, sigma_q * ratio)
+        mu_uq, sigma_uq = mixture[3:]
+        narrow = sigma_q < sigma_uq
+        # A narrower component at mu_q makes gap concave, with roots iff its peak is positive.
+        peak = mu_q
+        if narrow:
+            peak = (mu_q * sigma_uq**2 - mu_uq * sigma_q**2) / (sigma_uq**2 - sigma_q**2)
+        # Rounding cannot tell a root from one at a mean, or a tangent from no root.
+        assume(min(abs(gap(x, *mixture)) for x in (mu_q, mu_uq, peak)) > 1e-9)
+        # gap falls strictly between the means, so a root lies there iff it changes sign.
+        between = gap(mu_q, *mixture) > 0 > gap(mu_uq, *mixture)
+        upper = narrow and gap(peak, *mixture) > 0
+        if not (between or upper):
+            with pytest.raises(ValueError, match="use --strategy percentile"):
+                dividing_point(*mixture)
+            return
+        t = dividing_point(*mixture)
+        assert_falls_through_zero(t, *mixture)  # on a concave gap, that is the upper root
+        assert (mu_q < t < mu_uq) == between
 
 
 class TestKmeansTwo:

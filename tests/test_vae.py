@@ -22,7 +22,6 @@ from queryfilter.vae import (
     decoder_forward,
     elbo_loss,
     encoder_forward,
-    greedy_generate,
     init_params,
     latent,
     loss_and_grads,
@@ -363,14 +362,6 @@ class TestBatchedScoring:
     def test_empty_input_gives_empty_array(self, params):
         scores = reconstruction_loss(params, [])
         assert isinstance(scores, np.ndarray) and scores.shape == (0,)
-
-
-class TestGeneration:
-    def test_greedy_generation_terminates(self, small_trained_model):
-        params, _, _ = small_trained_model
-        out = greedy_generate(params, np.zeros(params.latent_dim), max_len=10)
-        assert len(out) <= 10
-        assert all(0 <= t < params.vocab_size for t in out)
 
 
 class TestCheckpoint:
