@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import sys
 from array import array
@@ -224,9 +223,12 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     if empty:
         _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-    if jobs == 1:
+    jobs = min(jobs, len(encoded))  # a worker with no records would idle
+    if jobs <= 1:
         scores = reconstruction_loss(params, encoded)
     else:
+        import multiprocessing  # ~0.7 MB that only a pool of workers needs
+
         # Worker i scores the records i::jobs.  A score depends only on its
         # record's ids, so the split changes no score.
         scores = np.empty(len(encoded))

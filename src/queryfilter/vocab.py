@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -66,6 +65,8 @@ class Vocabulary:
 
     def content_hash(self) -> str:
         """SHA-256 of the serialized vocabulary; binds checkpoints to vocabularies."""
+        import hashlib  # loads OpenSSL (~3.6 MB), which only train and score need
+
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:

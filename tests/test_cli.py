@@ -3,11 +3,16 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import queryfilter
 from queryfilter.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from queryfilter import cli, vae
 from queryfilter.cli import _load_cfg, build_parser, main
@@ -339,6 +344,29 @@ class TestBootstrapCommand:
         assert not (tmp_path / "bootstrap.txt").exists()
 
 
+def in_process_pool(monkeypatch):
+    """Replace ``multiprocessing.Pool`` with one that maps in process; returns
+    the share sizes of each ``map`` call."""
+    mapped = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shares, chunksize):
+            mapped.append([len(share) for share in shares])
+            return [fn(share) for share in shares]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return mapped
+
+
 @pytest.fixture()
 def trained_pipeline(tmp_path):
     """Inputs plus a completed rule-filter + bootstrap + train run."""
@@ -368,6 +396,45 @@ def trained_pipeline(tmp_path):
     assert main(["bootstrap", "--config", str(cfg), "--quiet"]) == 0
     assert main(["train", "--config", str(cfg), "--quiet"]) == 0
     return tmp_path, cfg
+
+
+# Runs one CLI command in this interpreter, then prints which of the modules
+# that only train, score and a pool of workers need it loaded.
+_IMPORT_PROBE = """
+import sys
+from queryfilter.cli import main
+code = main(sys.argv[1:])
+print(" ".join(m for m in ("hashlib", "_hashlib", "multiprocessing") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained_pipeline):
+    tmp_path, cfg = trained_pipeline
+    write_scored(tmp_path / "scored.jsonl", 30)
+    write_pairs(tmp_path / "one.jsonl", [("o1", "read the csv records")])
+    commands = {
+        "rule-filter": ["rule-filter"],
+        "bootstrap": ["bootstrap"],
+        "partition gmm": ["partition", "--strategy", "gmm"],
+        "partition percentile": ["partition", "--strategy", "percentile", "--p", "0.5"],
+        "score --jobs 1": ["score"],
+        "score --jobs 3, one record": ["score", "--jobs", "3", "--input", str(tmp_path / "one.jsonl"),
+                                       "--output", str(tmp_path / "one_scored.jsonl")],
+        "train": ["train"],
+    }
+    src = os.path.dirname(os.path.dirname(queryfilter.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = {}
+    for name, argv in commands.items():
+        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--config", str(cfg),
+                               "--quiet"], env=env, capture_output=True, text=True, check=True)
+        loaded[name] = done.stdout.split()
+    # train and score hash the vocabulary; that train shows it proves the probe sees it.
+    hashed = ["hashlib", "_hashlib"]
+    assert loaded == {**{name: [] for name in commands}, "train": hashed,
+                      "score --jobs 1": hashed, "score --jobs 3, one record": hashed}
 
 
 class TestTrainCommand:
@@ -513,28 +580,28 @@ class TestScoreCommand:
 
     def test_jobs_1_opens_no_pool_and_jobs_3_maps_three_shares(self, trained_pipeline, monkeypatch):
         tmp_path, cfg = trained_pipeline
-        mapped = []
-
-        class InProcessPool:
-            def __init__(self, processes, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, shares, chunksize):
-                mapped.append([len(share) for share in shares])
-                return [fn(share) for share in shares]
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+        mapped = in_process_pool(monkeypatch)
         assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "1"]) == 0
         assert mapped == []
         assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "3"]) == 0
         n = sum(1 for _ in read_jsonl(tmp_path / "rule_retained.jsonl"))
         assert mapped == [[len(range(i, n, 3)) for i in range(3)]]
+
+    def test_pool_never_outnumbers_the_records(self, trained_pipeline, monkeypatch):
+        tmp_path, cfg = trained_pipeline
+        mapped = in_process_pool(monkeypatch)
+        lines = (tmp_path / "rule_retained.jsonl").read_text(encoding="utf-8").splitlines(True)
+        files = ["--input", str(tmp_path / "subset.jsonl"),
+                 "--output", str(tmp_path / "subset_scored.jsonl")]
+        # (records, --jobs, shares the pool maps): no pool below two records.
+        for count, jobs, shares in ((0, 3, []), (1, 3, []), (2, 5, [[1, 1]])):
+            (tmp_path / "subset.jsonl").write_text("".join(lines[:count]), encoding="utf-8")
+            assert main(["score", "--config", str(cfg), "--quiet", *files]) == 0
+            serial = (tmp_path / "subset_scored.jsonl").read_bytes()
+            mapped.clear()
+            assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs), *files]) == 0
+            assert mapped == shares
+            assert (tmp_path / "subset_scored.jsonl").read_bytes() == serial
 
     def test_record_score_independent_of_file_and_jobs(self, tmp_path):
         # A GEMM row's bits can depend on how many rows are multiplied, so

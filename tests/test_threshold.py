@@ -33,7 +33,8 @@ def closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq):
     """Independent oracle: solve the posterior-equality quadratic analytically.
 
     pi * N(x|mu_q, sigma_q) = (1 - pi) * N(x|mu_uq, sigma_uq) in log form is
-    a quadratic in x; return its root inside (mu_q, mu_uq), else the midpoint.
+    a quadratic in x; return its root inside (mu_q, mu_uq), else its upper
+    root when sigma_q < sigma_uq, else None: the mixture has no cut.
     """
     a = 1.0 / (2.0 * sigma_uq**2) - 1.0 / (2.0 * sigma_q**2)
     b = mu_q / sigma_q**2 - mu_uq / sigma_uq**2
@@ -52,7 +53,9 @@ def closed_form_threshold(pi, mu_q, sigma_q, mu_uq, sigma_uq):
             s = math.sqrt(disc)
             roots = [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
     inside = [r for r in roots if mu_q < r < mu_uq]
-    return inside[0] if inside else 0.5 * (mu_q + mu_uq)
+    if inside:
+        return inside[0]
+    return max(roots) if roots and sigma_q < sigma_uq else None
 
 
 def _reference_logpdf(x, mu, sigma):
@@ -241,6 +244,20 @@ class TestDecisionThreshold:
     def test_matches_closed_form_quadratic(self):
         expected = closed_form_threshold(0.6, 1.0, 0.5, 4.0, 0.5)
         assert abs(dividing_point(0.6, 1.0, 0.5, 4.0, 0.5) - expected) < 1e-6
+
+    def test_upper_root_matches_oracle(self):
+        # A narrow low-loss component beside a wide one: no root between the means.
+        mixture = (0.9, 50.0, 0.6, 51.0, 12.0)
+        expected = closed_form_threshold(*mixture)
+        assert expected > 51.0
+        assert abs(dividing_point(*mixture) - expected) < 1e-6
+
+    def test_no_cut_where_oracle_has_none(self):
+        # The low-loss component is the wide one, and no root lies between the means.
+        mixture = (0.1, 49.0, 10.0, 50.0, 0.6)
+        assert closed_form_threshold(*mixture) is None
+        with pytest.raises(ValueError, match="use --strategy percentile"):
+            dividing_point(*mixture)
 
     def test_random_fits_match_oracle(self):
         rng = np.random.default_rng(7)
