@@ -258,10 +258,11 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
 
     Pass 1 keeps each record's id and score (an :class:`IdColumn` and an
     ``array('d')``) and fits the threshold, which adds a keep mask (1 B per
-    record) and four float64 EM buffers that last as long as the fit.  Pass 2
-    re-reads the records, matching each to pass 1's id at its position, and
-    streams each one to the retained or the rejects output.  The stage peaks
-    at about 40 B per record with 2,000 records and 60 B with 20,000.
+    record); the EM fit works in fixed-size chunks, and only its quartiles
+    take a transient copy of the scores.  Pass 2 re-reads the records,
+    matching each to pass 1's id at its position, and streams each one to the
+    retained or the rejects output.  The stage peaks at about 39 B per record
+    with 2,000 records and 35 B with 20,000.
     """
     _distinct_outputs(cfg.paths.retained, cfg.paths.semantic_rejects)
     ids, scores = IdColumn(), array("d")

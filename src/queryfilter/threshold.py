@@ -19,6 +19,7 @@ import numpy as np
 
 SIGMA_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
+_CHUNK = 1 << 13  # most losses the EM fit works on at once
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,15 @@ def fit_em_gmm(
     mixture weight at 0.5.  Iteration stops when the log-likelihood gain
     falls below ``tol`` or after ``max_iter`` rounds.  The fit is
     deterministic.  ``max_iter`` must be at least 1 and ``tol`` a finite
-    number >= 0; otherwise :class:`ValueError`.
+    number >= 0, and every loss must be finite; otherwise :class:`ValueError`.
+
+    Each round walks the losses twice in chunks of at most ``_CHUNK``: the
+    first for the log-likelihood, the weight and the new means, the second,
+    under the same parameters, for the spreads around those means.  Beyond
+    ``losses`` and the transient copy its quartiles take, its memory is four
+    chunk-sized buffers, whatever the number of losses.  The chunks are the
+    leaves of numpy's pairwise summation, so every sum equals ``np.sum``
+    over the whole array.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -89,7 +98,8 @@ def fit_em_gmm(
         raise ValueError(
             "EM-GMM needs at least 10 loss samples; use the percentile strategy instead"
         )
-    if float(x.min()) == float(x.max()):
+    lowest, highest = _finite_range(x, "EM-GMM")
+    if lowest == highest:
         raise ValueError(
             "EM-GMM needs at least two distinct loss values; use the percentile strategy instead"
         )
@@ -97,55 +107,34 @@ def fit_em_gmm(
     mu_q = float(np.percentile(x, 25))
     mu_uq = float(np.percentile(x, 75))
     if mu_q == mu_uq:
-        mu_q, mu_uq = float(x.min()), float(x.max())
+        mu_q, mu_uq = lowest, highest
     sigma = max(float(x.std()), SIGMA_FLOOR)
     sigma_q = sigma_uq = sigma
     pi = 0.5
 
-    # Each round runs in four length-N buffers, allocated once per fit.  The
-    # allocating form (new arrays per expression, same report) raises the
-    # partition stage's VmHWM on rules-io at 50k records from 40.7 to 42.8 MB.
-    a, b, c, d = (np.empty_like(x) for _ in range(4))
+    # Four chunk-sized buffers serve every round.  Length-N buffers cost the
+    # partition stage 32 B per record; new arrays per expression cost more.
+    bufs = np.empty((4, min(x.size, _CHUNK)))
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        # E step: a = log(pi) + logpdf_q(x), b = log(1 - pi) + logpdf_uq(x)
-        for buf, weight, mu, sd in ((a, pi, mu_q, sigma_q), (b, 1.0 - pi, mu_uq, sigma_uq)):
-            np.subtract(x, mu, out=buf)
-            np.divide(buf, sd, out=buf)
-            np.square(buf, out=buf)
-            np.multiply(0.5, buf, out=buf)
-            np.subtract(-0.5 * _LOG_2PI - math.log(sd), buf, out=buf)
-            np.add(math.log(weight), buf, out=buf)
-        # c = log_mix = top + log(exp(a - top) + exp(b - top)), top = max(a, b)
-        np.maximum(a, b, out=c)
-        np.subtract(a, c, out=d)
-        np.exp(d, out=d)
-        np.subtract(b, c, out=b)
-        np.exp(b, out=b)
-        np.add(d, b, out=d)
-        np.log(d, out=d)
-        np.add(c, d, out=c)
-        loglik = float(np.sum(c))
+        mixture = (pi, mu_q, sigma_q, mu_uq, sigma_uq)
+        loglik, weight_q, sum_qx, sum_ux = _tree_sum(x, _first_moments, bufs, mixture)
         if trace and loglik - trace[-1] < tol:
             trace.append(loglik)
             converged = True
             break
         trace.append(loglik)
-        resp_q = np.exp(np.subtract(a, c, out=a), out=a)
-        resp_u = np.subtract(1.0, resp_q, out=c)
 
         # M step
-        weight_q = float(resp_q.sum())
         weight_u = float(x.size - weight_q)
         safe_q = max(weight_q, 1e-300)
         safe_u = max(weight_u, 1e-300)
-        mu_q = float(np.multiply(resp_q, x, out=b).sum() / safe_q)
-        mu_uq = float(np.multiply(resp_u, x, out=b).sum() / safe_u)
-        sigma_q = max(math.sqrt(float(_weighted_square(resp_q, x, mu_q, b).sum() / safe_q)),
-                      SIGMA_FLOOR)
-        sigma_uq = max(math.sqrt(float(_weighted_square(resp_u, x, mu_uq, b).sum() / safe_u)),
-                       SIGMA_FLOOR)
+        mu_q = sum_qx / safe_q
+        mu_uq = sum_ux / safe_u
+        square_q, square_u = _tree_sum(x, _second_moments, bufs, mixture, mu_q, mu_uq)
+        sigma_q = max(math.sqrt(square_q / safe_q), SIGMA_FLOOR)
+        sigma_uq = max(math.sqrt(square_u / safe_u), SIGMA_FLOOR)
         pi = min(max(weight_q / x.size, 1e-12), 1.0 - 1e-12)
 
     if mu_q > mu_uq:
@@ -164,6 +153,84 @@ def fit_em_gmm(
     )
 
 
+def _finite_range(x: np.ndarray, what: str) -> tuple[float, float]:
+    """``(min, max)`` of ``x``; :class:`ValueError` if any value is NaN or infinite."""
+    lowest, highest = float(x.min()), float(x.max())  # NaN propagates into both
+    if math.isfinite(lowest) and math.isfinite(highest):
+        return lowest, highest
+    bad = ~np.isfinite(x)
+    raise ValueError(
+        f"{what} needs finite losses, but {int(np.count_nonzero(bad))} of {x.size} are NaN "
+        f"or infinite (the first at position {int(np.argmax(bad))})"
+    )
+
+
+def _tree_sum(x: np.ndarray, leaf, *args) -> tuple[float, ...]:
+    """The sums ``leaf(piece, *args)`` returns, added over the pieces of ``x``.
+
+    ``x`` is split as numpy's pairwise summation splits an array, down to
+    pieces of at most ``_CHUNK``, and the two halves' sums are added left +
+    right.  So each sum is bit-identical to one ``np.sum`` over all of ``x``
+    when ``leaf`` takes it with one ``np.add.reduce`` (what ``np.sum`` runs).
+    """
+    if x.size <= _CHUNK:
+        return leaf(x, *args)
+    half = x.size // 2 - (x.size // 2) % 8
+    left = _tree_sum(x[:half], leaf, *args)
+    right = _tree_sum(x[half:], leaf, *args)
+    return tuple(a + b for a, b in zip(left, right))
+
+
+def _e_step(x: np.ndarray, bufs: np.ndarray, pi, mu_q, sigma_q, mu_uq, sigma_uq):
+    """``(resp_q, resp_u, log_mix, spare)`` of ``x`` under a mixture, as views of ``bufs``.
+
+    ``resp_q`` and ``resp_u`` are the posteriors of the components at
+    ``mu_q`` and ``mu_uq``, ``log_mix`` the log mixture density, and the
+    spare view is free for the caller.
+    """
+    a, b, c, d = bufs[:, : x.size]
+    # a = log(pi) + logpdf_q(x), b = log(1 - pi) + logpdf_uq(x)
+    for buf, weight, mu, sd in ((a, pi, mu_q, sigma_q), (b, 1.0 - pi, mu_uq, sigma_uq)):
+        np.subtract(x, mu, out=buf)
+        np.divide(buf, sd, out=buf)
+        np.square(buf, out=buf)
+        np.multiply(0.5, buf, out=buf)
+        np.subtract(-0.5 * _LOG_2PI - math.log(sd), buf, out=buf)
+        np.add(math.log(weight), buf, out=buf)
+    # c = log_mix = top + log(exp(a - top) + exp(b - top)), top = max(a, b)
+    np.maximum(a, b, out=c)
+    np.subtract(a, c, out=d)
+    np.exp(d, out=d)
+    np.subtract(b, c, out=b)
+    np.exp(b, out=b)
+    np.add(d, b, out=d)
+    np.log(d, out=d)
+    np.add(c, d, out=c)
+    np.exp(np.subtract(a, c, out=a), out=a)
+    np.subtract(1.0, a, out=d)
+    return a, d, c, b
+
+
+def _first_moments(x: np.ndarray, bufs: np.ndarray, mixture) -> tuple[float, ...]:
+    """Sums over ``x`` of log_mix, resp_q, resp_q * x and resp_u * x."""
+    resp_q, resp_u, log_mix, spare = _e_step(x, bufs, *mixture)
+    return (
+        float(np.add.reduce(log_mix)),
+        float(np.add.reduce(resp_q)),
+        float(np.add.reduce(np.multiply(resp_q, x, out=spare))),
+        float(np.add.reduce(np.multiply(resp_u, x, out=spare))),
+    )
+
+
+def _second_moments(x: np.ndarray, bufs: np.ndarray, mixture, mu_q, mu_uq) -> tuple[float, ...]:
+    """Sums over ``x`` of resp_q * (x - mu_q)^2 and resp_u * (x - mu_uq)^2."""
+    resp_q, resp_u, _, spare = _e_step(x, bufs, *mixture)
+    return (
+        float(np.add.reduce(_weighted_square(resp_q, x, mu_q, spare))),
+        float(np.add.reduce(_weighted_square(resp_u, x, mu_uq, spare))),
+    )
+
+
 def _weighted_square(resp: np.ndarray, x: np.ndarray, mu: float, out: np.ndarray) -> np.ndarray:
     """``resp * (x - mu) ** 2``, written to ``out``."""
     np.subtract(x, mu, out=out)
@@ -175,14 +242,15 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
     """Lloyd's algorithm on 1-D losses with k=2, centers seeded at min/max.
 
     Returns (low_center, high_center); assignment ties go to the low center.
-    ``max_iter`` must be at least 1; otherwise :class:`ValueError`.
+    ``max_iter`` must be at least 1 and every loss finite; otherwise
+    :class:`ValueError`.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(losses, dtype=np.float64)
     if x.size == 0:
         raise ValueError("kmeans needs at least one sample")
-    c_low, c_high = float(x.min()), float(x.max())
+    c_low, c_high = _finite_range(x, "kmeans")
     for _ in range(max_iter):
         boundary = 0.5 * (c_low + c_high)
         low_mask = x <= boundary

@@ -1,6 +1,7 @@
 """EM mixture fitting, dividing-point computation, and partition strategies."""
 
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from queryfilter.corpus import IdColumn
 from queryfilter.threshold import (
+    _CHUNK,
     SIGMA_FLOOR,
     dividing_point,
     fit_em_gmm,
@@ -116,12 +118,8 @@ def reference_em(x, max_iter=200, tol=1e-8):
     return (pi, mu_q, sigma_q, mu_uq, sigma_uq, tuple(trace)), converged
 
 
-@st.composite
-def _em_losses(draw):
-    """Loss samples of the shapes EM meets: normal, bimodal, heavy-tailed, heavily tied."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(10, 400))
-    kind = draw(st.sampled_from(["normal", "bimodal", "heavy", "tied"]))
+def em_sample(rng, n, kind, levels=3):
+    """n losses of a shape EM meets: normal, bimodal, heavy-tailed, or tied on ``levels`` values."""
     if kind == "normal":
         x = rng.normal(3.0, 0.5, n)
     elif kind == "bimodal":
@@ -129,10 +127,19 @@ def _em_losses(draw):
     elif kind == "heavy":
         x = np.abs(rng.standard_t(1.5, n))
     else:
-        x = rng.integers(0, draw(st.integers(2, 4)), n).astype(np.float64)
+        x = rng.integers(0, levels, n).astype(np.float64)
     if x.min() == x.max():
         x[0] += 1.0
     return x
+
+
+@st.composite
+def _em_losses(draw):
+    """Loss samples of the shapes EM meets: normal, bimodal, heavy-tailed, heavily tied."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 400))
+    kind = draw(st.sampled_from(["normal", "bimodal", "heavy", "tied"]))
+    return em_sample(rng, n, kind, draw(st.integers(2, 4)))
 
 
 class TestFitEmGmm:
@@ -202,6 +209,40 @@ class TestFitEmGmm:
         fit = fit_em_gmm(x, max_iter=max_iter)
         assert (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq, fit.loglik_trace) == fields
         assert fit.converged == converged
+
+    @pytest.mark.parametrize("kind", ["bimodal", "heavy", "tied"])
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 50_000, 100_001])
+    def test_matches_the_allocating_formula_over_many_chunks(self, n, kind):
+        x = em_sample(np.random.default_rng(n), n, kind)
+        for max_iter in (1, 3, 200):
+            fields, converged = reference_em(x, max_iter=max_iter)
+            fit = fit_em_gmm(x, max_iter=max_iter)
+            assert (fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq,
+                    fit.loglik_trace) == fields
+            assert fit.converged == converged
+
+    def test_memory_does_not_grow_with_the_losses(self):
+        # Four length-N EM buffers grew the traced peak by 32 B per loss; the
+        # percentiles' transient copy of the losses is what still grows.
+        def traced_peak(n):
+            x = em_sample(np.random.default_rng(n), n, "bimodal")
+            tracemalloc.start()
+            try:
+                fit_em_gmm(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1_000)  # a first fit's one-time allocations are not per-loss state
+        per_loss = (traced_peak(80_000) - traced_peak(20_000)) / 60_000
+        assert per_loss < 12, f"{per_loss:.1f} B per extra loss"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_losses_rejected(self, bad):
+        x = np.linspace(0.0, 1.0, 40)
+        x[[7, 30]] = bad
+        with pytest.raises(ValueError, match=r"2 of 40 are NaN or infinite \(the first at position 7\)"):
+            fit_em_gmm(x)
 
     def test_converged_is_false_when_max_iter_ends_the_fit(self):
         x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
@@ -313,6 +354,11 @@ class TestKmeansTwo:
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             kmeans_two([1.0, 1.1, 0.9, 9.0, 9.1], max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_losses_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"1 of 3 are NaN or infinite \(the first at position 1\)"):
+            kmeans_two([1.0, bad, 3.0])
 
 
 class TestPartition:
