@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from array import array
@@ -30,7 +29,10 @@ from .corpus import (
     BootstrapStats,
     CorpusError,
     IdColumn,
+    LineSpill,
     ProvenanceEntry,
+    add_score,
+    as_rejected,
     extract_first_sentence,
     iter_lines,
     jsonl_writer,
@@ -204,48 +206,49 @@ def _score_worker(share):
 
 
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
-    """Attach a reconstruction-loss score to every record, in two passes.
+    """Attach a reconstruction-loss score to every record, reading them once.
 
-    Pass 1 keeps each record's id in an :class:`IdColumn` and its encoded
-    comment as an ``array('i')`` (4 B per token plus about 64 B) and scores
-    them all, so length groups span the whole file; the stage peaks at about
-    205 B per record.  Pass 2 re-reads the records and writes each one with
-    its score.
+    Pass 1 keeps each record's encoded comment as an ``array('i')`` (4 B per
+    token plus about 64 B) and spills the record's output line, all but the
+    score, to a :class:`LineSpill` beside the output.  It then scores them
+    all, so length groups span the whole file; the stage peaks at about
+    190 B per record.  Pass 2 copies each spilled line to the output with
+    its score added.
     """
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
-    ids, encoded = IdColumn(), []
-    for record in read_jsonl(cfg.paths.rule_retained):
-        ids.append(record.id)
-        encoded.append(array("i", vocab.encode(tokenize(record.comment), vae_cfg.max_len)))
+    encoded = []
+    with LineSpill(cfg.paths.scored) as spill:
+        for record in read_jsonl(cfg.paths.rule_retained):
+            encoded.append(array("i", vocab.encode(tokenize(record.comment), vae_cfg.max_len)))
+            record.score = None
+            spill.put(record)
 
-    empty = sum(1 for seq in encoded if len(seq) == 2)
-    if empty:
-        _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
+        empty = sum(1 for seq in encoded if len(seq) == 2)
+        if empty:
+            _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-    jobs = min(jobs, len(encoded))  # a worker with no records would idle
-    if jobs <= 1:
-        scores = reconstruction_loss(params, encoded)
-    else:
-        import multiprocessing  # ~0.7 MB that only a pool of workers needs
+        jobs = min(jobs, len(encoded))  # a worker with no records would idle
+        if jobs <= 1:
+            scores = reconstruction_loss(params, encoded)
+        else:
+            import multiprocessing  # ~0.7 MB that only a pool of workers needs
 
-        # Worker i scores the records i::jobs.  A score depends only on its
-        # record's ids, so the split changes no score.
-        scores = np.empty(len(encoded))
-        with multiprocessing.Pool(jobs, initializer=_score_init, initargs=(params,)) as pool:
-            parts = pool.map(_score_worker, [encoded[i::jobs] for i in range(jobs)], chunksize=1)
-        for i, part in enumerate(parts):
-            scores[i::jobs] = part
-    del encoded  # pass 2 needs only the ids and the scores
+            # Worker i scores the records i::jobs.  A score depends only on its
+            # record's ids, so the split changes no score.
+            scores = np.empty(len(encoded))
+            with multiprocessing.Pool(jobs, initializer=_score_init, initargs=(params,)) as pool:
+                parts = pool.map(_score_worker, [encoded[i::jobs] for i in range(jobs)],
+                                 chunksize=1)
+            for i, part in enumerate(parts):
+                scores[i::jobs] = part
+        del encoded  # pass 2 needs only the scores
 
-    def scored():
-        for i, record in enumerate(read_jsonl(cfg.paths.rule_retained, ids)):
-            record.score = scores.item(i)
-            yield record
-
-    write_jsonl(scored(), cfg.paths.scored)
-    _diag(quiet, f"score: {len(ids)} records scored")
-    return len(ids)
+        with atomic_open(cfg.paths.scored) as out:
+            for i, line in enumerate(spill):
+                out.write(add_score(line, scores.item(i)))
+    _diag(quiet, f"score: {len(scores)} records scored")
+    return len(scores)
 
 
 # ----------------------------------------------------------------------
@@ -254,48 +257,58 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
 
 
 def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bool = False) -> dict:
-    """Split scored records at the fitted threshold, in two passes.
+    """Split scored records at the fitted threshold, reading them once.
 
-    Pass 1 keeps each record's id and score (an :class:`IdColumn` and an
-    ``array('d')``) and fits the threshold, which adds a keep mask (1 B per
-    record); the EM fit works in fixed-size chunks, and only its quartiles
-    take a transient copy of the scores.  Pass 2 re-reads the records,
-    matching each to pass 1's id at its position, and streams each one to the
-    retained or the rejects output.  The stage peaks at about 39 B per record
-    with 2,000 records and 35 B with 20,000.
+    Pass 1 keeps each record's score in an ``array('d')``, and only for the
+    percentile strategy, whose ties go by id, its id in an :class:`IdColumn`.
+    It spills the record's output line as a retained record to a
+    :class:`LineSpill` beside the retained output; with ``strip_provenance``
+    it spills the stripped line first, so both forms are at hand.  The fit
+    adds a keep mask (1 B per record); the EM fit works in fixed-size
+    chunks, and only its quartiles take a transient copy of the scores.
+    Pass 2 copies each spilled line to the retained output, or with its
+    semantic entry rejected to the rejects output.  The stage peaks at about
+    20 B per record with the gmm strategy.
     """
     _distinct_outputs(cfg.paths.retained, cfg.paths.semantic_rejects)
-    ids, scores = IdColumn(), array("d")
-    for record in read_jsonl(cfg.paths.scored):
-        ids.append(record.id)
-        scores.append(math.nan if record.score is None else record.score)
-    missing = np.flatnonzero(np.isnan(scores))  # read_jsonl admits finite scores only
-    if missing.size:
-        raise MissingScoreError(
-            f"{missing.size} records lack scores (first: {ids[missing[0]]}); "
-            "run the score stage first"
-        )
-    keep, report = partition(ids, scores, **dataclasses.asdict(cfg.threshold))
-
-    def retained(reject):
-        for i, record in enumerate(read_jsonl(cfg.paths.scored, ids)):
-            if keep[i]:
-                if strip_provenance:
-                    record.provenance = []
-                else:
-                    record.provenance.append(ProvenanceEntry("semantic", "retained"))
-                yield record
+    ids = IdColumn() if cfg.threshold.strategy == "percentile" else None
+    scores, missing, first_missing = array("d"), 0, None
+    with LineSpill(cfg.paths.retained) as spill:
+        for record in read_jsonl(cfg.paths.scored):
+            if ids is not None:
+                ids.append(record.id)
+            if record.score is None:
+                if not missing:
+                    first_missing = record.id
+                missing += 1
             else:
-                record.provenance.append(ProvenanceEntry("semantic", "rejected"))
-                reject(record)
+                scores.append(record.score)
+            if strip_provenance:
+                provenance, record.provenance = record.provenance, []
+                spill.put(record)
+                record.provenance = provenance
+            record.provenance.append(ProvenanceEntry("semantic", "retained"))
+            spill.put(record)
+        if missing:
+            raise MissingScoreError(f"{missing} records lack scores (first: {first_missing}); "
+                                    "run the score stage first")
+        keep, report = partition(ids, scores, **dataclasses.asdict(cfg.threshold))
 
-    with jsonl_writer(cfg.paths.semantic_rejects) as reject:
-        n_retained = write_jsonl(retained(reject), cfg.paths.retained)
+        lines = iter(spill)
+        # Each record's (line if retained, line if rejected, before its action is swapped)
+        both = zip(lines, lines) if strip_provenance else ((line, line) for line in lines)
+        with atomic_open(cfg.paths.semantic_rejects) as rejects, \
+                atomic_open(cfg.paths.retained) as retained:
+            for kept, (retained_line, line) in zip(keep, both):
+                if kept:
+                    retained.write(retained_line)
+                else:
+                    rejects.write(as_rejected(line))
     _write_json(report, cfg.paths.report)
     _diag(
         quiet,
         f"partition[{cfg.threshold.strategy}]: retained "
-        f"{n_retained}/{len(ids)} "
+        f"{report['n_retained']}/{report['n_input']} "
         f"({100.0 * report['retained_fraction']:.1f}%)",
     )
     return report

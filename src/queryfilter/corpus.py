@@ -14,6 +14,7 @@ import operator
 import os
 import re
 import sys
+import tempfile
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -199,18 +200,12 @@ class IdColumn(Sequence[str]):
         start = self._ends[i - 1] if i else 0
         return self._data[start:self._ends[i]].decode("utf-8", "surrogatepass")
 
-    def __iter__(self) -> Iterator[str]:  # a quarter of the cost of indexing each id
-        data, start = self._data, 0
-        for end in self._ends:
-            yield data[start:end].decode("utf-8", "surrogatepass")
-            start = end
-
 
 # Reached through this name so that tests can make distinct ids collide.
 _hash = hash
 
 
-def read_jsonl(path, ids=None) -> Iterator[Record]:
+def read_jsonl(path) -> Iterator[Record]:
     """Stream records from a JSONL file in file order.
 
     Raises :class:`CorpusError` with the offending line number on a line that
@@ -224,36 +219,17 @@ def read_jsonl(path, ids=None) -> Iterator[Record]:
     distinct ids that collide raise nothing.  An input that cannot be read
     twice, such as a pipe, still works, but with a duplicate it raises the
     "changed while it was read" error.
-
-    ``ids`` reads the file a second time: a first read found ``ids`` there,
-    and record i must carry ``ids[i]``.  A record with another id, a record
-    past them, or a file that ends before them means the file changed
-    between the reads, and raises :class:`CorpusError`.  No hashes are kept,
-    since the first read already rejected duplicates.
     """
-    if ids is None:
-        hashes = array("q")
-        for line_no, obj in iter_json_objects(path):
-            record = _record_from_obj(obj, line_no)
-            hashes.append(_hash(record.id))
-            yield record
-        # Sorted in place through a view: neighbours compare with no index array.
-        view = np.frombuffer(hashes, dtype=np.int64)
-        view.sort()
-        if (view[1:] == view[:-1]).any():
-            _raise_first_duplicate(path, view)
-        return
-    expected = iter(ids)
-    count = 0
-    for count, (line_no, obj) in enumerate(iter_json_objects(path), start=1):
+    hashes = array("q")
+    for line_no, obj in iter_json_objects(path):
         record = _record_from_obj(obj, line_no)
-        if record.id != next(expected, None):
-            raise CorpusError(f"{path} changed while it was read: record {count} "
-                              "differs from the first read")
+        hashes.append(_hash(record.id))
         yield record
-    if count != len(ids):
-        raise CorpusError(f"{path} changed while it was read: it holds {count} records, "
-                          f"not the {len(ids)} of the first read")
+    # Sorted in place through a view: neighbours compare with no index array.
+    view = np.frombuffer(hashes, dtype=np.int64)
+    view.sort()
+    if (view[1:] == view[:-1]).any():
+        _raise_first_duplicate(path, view)
 
 
 def _raise_first_duplicate(path, sorted_hashes: np.ndarray) -> None:
@@ -320,6 +296,53 @@ def jsonl_writer(path) -> Iterator[Callable[[Record], None]]:
             write(_ENCODE(record.to_json_obj()) + "\n")
 
         yield put
+
+
+class LineSpill:
+    """Records' JSONL lines, parked in an unnamed file between a stage's two passes.
+
+    The file is a :func:`tempfile.TemporaryFile` in the directory of
+    ``beside``, the output it is spilled for, so it has no name and is gone
+    once closed, or once the process ends however it ends.  It holds each
+    line as UTF-8, about the size of that output.  Lines are stored with
+    ``surrogatepass``, since JSON admits lone surrogates, so writing a line
+    out fails just where writing the record would.  Use it as a context
+    manager, which closes the file.
+    """
+
+    def __init__(self, beside) -> None:
+        self._file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(beside)))
+
+    def __enter__(self) -> "LineSpill":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def put(self, record: Record) -> None:
+        """Append the JSONL line of ``record``, as :func:`jsonl_writer` writes it."""
+        self._file.write((_ENCODE(record.to_json_obj()) + "\n").encode("utf-8", "surrogatepass"))
+
+    def __iter__(self) -> Iterator[str]:
+        """Each line put so far, in order, with its newline."""
+        self._file.seek(0)
+        for raw in self._file:
+            yield raw.decode("utf-8", "surrogatepass")
+
+
+# Line layouts that LineSpill's users rely on.  Record.to_json_obj writes
+# "score" last; a semantic provenance entry is the last entry when a stage
+# has just appended it, and only "score" can follow the provenance.
+def add_score(line: str, score: float) -> str:
+    """``line``, the JSONL line of a record without a score, with ``score`` set."""
+    return line[:-2] + ', "score": ' + _ENCODE(score) + "}\n"
+
+
+def as_rejected(line: str) -> str:
+    """``line``, whose last provenance entry a stage just appended as
+    ``retained``, with that entry's action ``rejected`` (a word as wide)."""
+    at = line.rfind('"retained"}]')
+    return line[:at] + '"rejected"' + line[at + 10:]
 
 
 def write_jsonl(records: Iterable[Record], path) -> int:

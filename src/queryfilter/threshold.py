@@ -104,8 +104,7 @@ def fit_em_gmm(
             "EM-GMM needs at least two distinct loss values; use the percentile strategy instead"
         )
 
-    mu_q = float(np.percentile(x, 25))
-    mu_uq = float(np.percentile(x, 75))
+    mu_q, mu_uq = _quartiles(x)
     if mu_q == mu_uq:
         mu_q, mu_uq = lowest, highest
     sigma = max(float(x.std()), SIGMA_FLOOR)
@@ -151,6 +150,36 @@ def fit_em_gmm(
         loglik_trace=tuple(trace),
         converged=converged,
     )
+
+
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """The 25th and 75th percentiles of ``x``, as ``np.percentile`` gives them.
+
+    Both come from one ``np.partition`` copy of ``x``, where ``np.percentile``
+    copies ``x`` once per call and, through ``np.unique``, imports
+    ``numpy.ma`` (about 2 MB).  The steps are numpy's: the order statistics
+    ``a`` and ``b`` around the index ``(n - 1) q``, both the last one from
+    ``n - 1`` on, and ``a + (b - a) t``, or ``b - (b - a) (1 - t)`` when
+    ``t >= 0.5``; so the result is numpy's bit for bit, save that where
+    ``x`` holds both 0.0 and -0.0, a zero quartile may differ in sign (which
+    zero lands where depends on the partition).  The EM fit only squares
+    ``x - mu``, so that sign never reaches it.
+    """
+    spots = []
+    for q in (0.25, 0.75):
+        at = (x.size - 1) * q
+        low = math.floor(at)
+        high = low + 1
+        if at >= x.size - 1:  # numpy's index -1 for both; t is then at + 1, as numpy's
+            low = high = -1
+        spots.append((low, high, at - low))
+    part = np.partition(x, sorted({i for low, high, _ in spots for i in (low, high)}))
+    out = []
+    for low, high, t in spots:
+        a, b = float(part[low]), float(part[high])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return out[0], out[1]
 
 
 def _finite_range(x: np.ndarray, what: str) -> tuple[float, float]:
@@ -263,7 +292,7 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
 
 
 def partition(
-    ids: Sequence[str],
+    ids: Sequence[str] | None,
     losses: Sequence[float],
     strategy: str = "gmm",
     p: float | None = None,
@@ -277,18 +306,20 @@ def partition(
     retains losses at or below the mixture's :func:`dividing_point`; ``percentile``
     retains the floor(p * n) smallest losses with boundary ties broken by
     ascending id; ``kmeans2`` retains the cluster around the lower center.
+    Only ``percentile`` reads the ids; the others take ``ids=None``.
     Returns ``(keep, report)``: a bool mask, True at each retained input
     position, and a report of the strategy parameters and counts.
     """
-    if len(ids) != len(losses):
+    n = len(losses)
+    if ids is not None and len(ids) != n:
         raise ValueError("ids and losses differ in length")
-    if len(ids) == 0:
+    if n == 0:
         raise ValueError("nothing to partition: input is empty")
     losses = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(losses).all():
         raise ValueError("scores must be finite")
 
-    report: dict = {"strategy": strategy, "n_input": len(ids)}
+    report: dict = {"strategy": strategy, "n_input": n}
     if strategy == "gmm":
         fit = fit_em_gmm(losses, max_iter=max_iter, tol=tol)
         threshold = dividing_point(fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq)
@@ -306,9 +337,11 @@ def partition(
     elif strategy == "percentile":
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("percentile strategy needs p in (0, 1]")
-        keep_count = int(math.floor(p * len(ids)))
-        by_loss = sorted(range(len(ids)), key=lambda i: (losses[i], ids[i]))
-        keep_mask = np.zeros(len(ids), dtype=bool)
+        if ids is None:
+            raise ValueError("the percentile strategy breaks ties by id and needs the ids")
+        keep_count = int(math.floor(p * n))
+        by_loss = sorted(range(n), key=lambda i: (losses[i], ids[i]))
+        keep_mask = np.zeros(n, dtype=bool)
         keep_mask[by_loss[:keep_count]] = True
         boundary = losses[by_loss[keep_count - 1]] if keep_count else None
         report.update(p=p, boundary_loss=None if boundary is None else float(boundary))
@@ -322,6 +355,6 @@ def partition(
 
     n_retained = int(np.count_nonzero(keep_mask))
     report["n_retained"] = n_retained
-    report["n_discarded"] = len(ids) - n_retained
-    report["retained_fraction"] = n_retained / len(ids)
+    report["n_discarded"] = n - n_retained
+    report["retained_fraction"] = n_retained / n
     return keep_mask, report

@@ -14,10 +14,11 @@ import pytest
 
 import queryfilter
 from queryfilter.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from queryfilter import cli, vae
+from queryfilter import cli, corpus, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
-from queryfilter.corpus import CorpusError, Record, read_jsonl, write_jsonl
+from queryfilter.corpus import (CorpusError, Record, _record_from_obj, iter_json_objects,
+                                read_jsonl, write_jsonl)
 from queryfilter.vae import TrainingError, VaeConfig, init_params, named_tensors, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
@@ -59,20 +60,40 @@ def temp_files(tmp_path):
     return [p.name for p in tmp_path.rglob("*.tmp")]
 
 
-def second_read(monkeypatch, edit=None):
+def rewrite(path, edit):
+    """Rewrite the JSONL file ``path`` as ``edit(records)``, repeated ids and all."""
+    write_jsonl(edit([_record_from_obj(obj, n) for n, obj in iter_json_objects(path)]), path)
+
+
+def reads_of(monkeypatch, edit=None):
     """Record the path of each ``read_jsonl`` call a stage makes; with ``edit``,
-    rewrite the input as ``edit(records)`` just before the second call."""
+    rewrite the input as ``edit(records)`` once the first call has yielded them all."""
     reads = []
     real = cli.read_jsonl
 
-    def read_jsonl(path, ids=None):
+    def read_jsonl(path):
         reads.append(path)
-        if edit is not None and len(reads) == 2:
-            write_jsonl(edit(list(real(path))), path)
-        return real(path, ids)
+        yield from real(path)
+        if edit is not None and len(reads) == 1:
+            rewrite(path, edit)
 
     monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
     return reads
+
+
+def rewrite_before_the_confirming_read(monkeypatch, edit):
+    """Rewrite a stage's input as ``edit(records)`` just before its second parse,
+    which for an input with a repeated id is the duplicate check's confirming read."""
+    parses, real = [], corpus.iter_json_objects
+
+    def iter_json_objects(path):
+        parses.append(path)
+        if len(parses) == 2:
+            rewrite(path, edit)
+        return real(path)
+
+    monkeypatch.setattr(corpus, "iter_json_objects", iter_json_objects)
+    return parses
 
 
 def _renamed(records):
@@ -85,13 +106,23 @@ def _repeated(records):
     return records
 
 
-# How a file can change between the first and the second read of a stage.
+def _retexted(records):
+    record = records[len(records) // 2]
+    record.comment += " (edited)"
+    if record.score is not None:
+        record.score += 1.0
+    return records
+
+
+# How a file's ids can change between two reads of it.
 CHANGES = {
     "changed_id": _renamed,
     "extra_record": lambda records: records + [Record(id="extra", comment="c", code="x", score=1.0)],
     "missing_record": lambda records: records[:-1],
     "repeated_id": _repeated,
 }
+# ... and every way a file can change, its text under the same ids included.
+EDITS = {**CHANGES, "changed_text": _retexted}
 
 
 def small_config(tmp_path, extra=""):
@@ -398,13 +429,55 @@ def trained_pipeline(tmp_path):
     return tmp_path, cfg
 
 
+def stage_env():
+    """The environment for a child interpreter that imports this queryfilter."""
+    src = os.path.dirname(os.path.dirname(queryfilter.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+# Runs one CLI command in a child interpreter while a thread feeds the input
+# file to it through a named pipe.
+_FIFO_FEED = """
+import sys, threading
+from queryfilter.cli import main
+fifo, data = sys.argv[1:3]
+
+def feed():
+    with open(data, "rb") as src, open(fifo, "wb") as out:
+        out.write(src.read())
+
+threading.Thread(target=feed, daemon=True).start()
+sys.exit(main(sys.argv[3:] + ["--input", fifo]))
+"""
+
+
+def run_through_fifo(data, argv):
+    """``queryfilter argv --input FIFO`` in a child process, fed ``data`` through the FIFO.
+
+    A stage that opens its input twice blocks on the second open, so the
+    child runs under a timeout: a regression fails here instead of hanging.
+    """
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    fifo = data.parent / "input.fifo"
+    os.mkfifo(fifo)
+    try:
+        return subprocess.run([sys.executable, "-c", _FIFO_FEED, str(fifo), str(data), *argv],
+                              env=stage_env(), capture_output=True, text=True, timeout=60)
+    finally:
+        fifo.unlink()
+
+
 # Runs one CLI command in this interpreter, then prints which of the modules
-# that only train, score and a pool of workers need it loaded.
+# that only train, score and a pool of workers need it loaded, and whether it
+# loaded numpy.ma, which no stage needs.
 _IMPORT_PROBE = """
 import sys
 from queryfilter.cli import main
 code = main(sys.argv[1:])
-print(" ".join(m for m in ("hashlib", "_hashlib", "multiprocessing") if m in sys.modules))
+print(" ".join(m for m in ("hashlib", "_hashlib", "multiprocessing", "numpy.ma")
+               if m in sys.modules))
 sys.exit(code)
 """
 
@@ -417,15 +490,14 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
         "rule-filter": ["rule-filter"],
         "bootstrap": ["bootstrap"],
         "partition gmm": ["partition", "--strategy", "gmm"],
+        "partition kmeans2": ["partition", "--strategy", "kmeans2"],
         "partition percentile": ["partition", "--strategy", "percentile", "--p", "0.5"],
         "score --jobs 1": ["score"],
         "score --jobs 3, one record": ["score", "--jobs", "3", "--input", str(tmp_path / "one.jsonl"),
                                        "--output", str(tmp_path / "one_scored.jsonl")],
         "train": ["train"],
     }
-    src = os.path.dirname(os.path.dirname(queryfilter.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = stage_env()
     loaded = {}
     for name, argv in commands.items():
         done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--config", str(cfg),
@@ -656,25 +728,52 @@ class TestScoreCommand:
             ids = vocab.encode(tokenize(comment), vae_cfg.max_len)
             assert record.score == reconstruction_loss(params, [ids])[0]
 
-    @pytest.mark.parametrize("change", sorted(CHANGES))
-    def test_input_changed_between_reads_exits_2(self, trained_pipeline, monkeypatch, capsys, change):
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_input_rewritten_after_the_read_changes_no_output(self, trained_pipeline, monkeypatch,
+                                                              edit):
         tmp_path, cfg = trained_pipeline
         assert main(["score", "--config", str(cfg), "--quiet"]) == 0
         before = (tmp_path / "scored.jsonl").read_bytes()
-        reads = second_read(monkeypatch, CHANGES[change])
-        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
-        assert len(reads) == 2
-        err = capsys.readouterr().err
-        assert f"{tmp_path / 'rule_retained.jsonl'} changed while it was read" in err
+        reads = reads_of(monkeypatch, EDITS[edit])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        assert reads == [str(tmp_path / "rule_retained.jsonl")]
         assert (tmp_path / "scored.jsonl").read_bytes() == before
         assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_input_changed_between_reads_exits_2(self, trained_pipeline, monkeypatch, capsys, change):
+        # The one second read left: the duplicate check confirming a repeated id.
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        path = tmp_path / "rule_retained.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        listing = sorted(os.listdir(tmp_path))
+        parses = rewrite_before_the_confirming_read(monkeypatch, CHANGES[change])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
+        assert len(parses) == 2
+        err = capsys.readouterr().err
+        assert f"{path} changed while it was read: its ids differ from the first read" in err
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_fifo_input_is_read_once(self, trained_pipeline):
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        done = run_through_fifo(tmp_path / "rule_retained.jsonl",
+                                ["score", "--config", str(cfg), "--quiet",
+                                 "--output", str(tmp_path / "fifo_scored.jsonl")])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "fifo_scored.jsonl").read_bytes() == \
+            (tmp_path / "scored.jsonl").read_bytes()
 
     def test_duplicate_id_exits_2_from_the_first_read(self, trained_pipeline, monkeypatch, capsys):
         tmp_path, cfg = trained_pipeline
         path = tmp_path / "rule_retained.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines + lines[:1]), encoding="utf-8")
-        reads = second_read(monkeypatch)
+        reads = reads_of(monkeypatch)
         assert main(["score", "--config", str(cfg), "--quiet"]) == 2
         first = json.loads(lines[0])["id"]
         assert f'line {len(lines) + 1}: duplicate id "{first}"' in capsys.readouterr().err
@@ -757,26 +856,59 @@ class TestPartitionCommand:
         assert output_bytes(tmp_path, outputs) == before
         assert temp_files(tmp_path) == []
 
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_input_rewritten_after_the_read_changes_no_output(self, tmp_path, monkeypatch, edit):
+        write_scored(tmp_path / "scored.jsonl", 3000)
+        cfg = small_config(tmp_path)
+        outputs = ("retained.jsonl", "semantic_rejects.jsonl", "report.json")
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
+        before = output_bytes(tmp_path, outputs)
+        reads = reads_of(monkeypatch, EDITS[edit])
+        assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
+        assert reads == [str(tmp_path / "scored.jsonl")]
+        assert output_bytes(tmp_path, outputs) == before
+        assert temp_files(tmp_path) == []
+
     @pytest.mark.parametrize("change", sorted(CHANGES))
     def test_input_changed_between_reads_exits_2(self, tmp_path, monkeypatch, capsys, change):
+        # The one second read left: the duplicate check confirming a repeated id.
         write_scored(tmp_path / "scored.jsonl", 30)
         cfg = small_config(tmp_path)
         assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
         outputs = ("retained.jsonl", "semantic_rejects.jsonl", "report.json")
         before = output_bytes(tmp_path, outputs)
-        write_scored(tmp_path / "scored.jsonl", 3000)
-        reads = second_read(monkeypatch, CHANGES[change])
+        write_scored(tmp_path / "scored.jsonl", 3000, extra_line=json.dumps(
+            {"id": "s00007", "comment": "c", "code": "x", "score": 1.0}) + "\n")
+        listing = sorted(os.listdir(tmp_path))
+        parses = rewrite_before_the_confirming_read(monkeypatch, CHANGES[change])
         assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
-        assert len(reads) == 2
-        assert f"{tmp_path / 'scored.jsonl'} changed while it was read" in capsys.readouterr().err
+        assert len(parses) == 2
+        assert (f"{tmp_path / 'scored.jsonl'} changed while it was read: its ids differ from "
+                "the first read") in capsys.readouterr().err
         assert output_bytes(tmp_path, outputs) == before
-        assert temp_files(tmp_path) == []
+        assert sorted(os.listdir(tmp_path)) == listing
+
+    @pytest.mark.parametrize("flags", [[], ["--strip-provenance"],
+                                       ["--strategy", "percentile", "--p", "0.4"]],
+                             ids=["gmm", "strip_provenance", "percentile"])
+    def test_fifo_input_is_read_once(self, tmp_path, flags):
+        write_scored(tmp_path / "scored.jsonl", 200)
+        cfg = small_config(tmp_path)
+        outputs = ("retained.jsonl", "semantic_rejects.jsonl", "report.json")
+        assert main(["partition", "--config", str(cfg), "--quiet", *flags]) == 0
+        expected = output_bytes(tmp_path, outputs)
+        for name in outputs:
+            (tmp_path / name).unlink()
+        done = run_through_fifo(tmp_path / "scored.jsonl",
+                                ["partition", "--config", str(cfg), "--quiet", *flags])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert output_bytes(tmp_path, outputs) == expected
 
     def test_duplicate_id_exits_2_from_the_first_read(self, tmp_path, monkeypatch, capsys):
         write_scored(tmp_path / "scored.jsonl", 30, extra_line=json.dumps(
             {"id": "s00007", "comment": "c", "code": "x", "score": 1.0}) + "\n")
         cfg = small_config(tmp_path)
-        reads = second_read(monkeypatch)
+        reads = reads_of(monkeypatch)
         assert main(["partition", "--config", str(cfg), "--quiet"]) == 2
         assert 'line 31: duplicate id "s00007"' in capsys.readouterr().err
         assert len(reads) == 1

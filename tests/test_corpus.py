@@ -337,7 +337,20 @@ class TestIdColumn:
         for record in read_jsonl(f):
             first.append(record.id)
         assert list(first) == ["\ud800", "é"]
-        assert [r.id for r in read_jsonl(f, first)] == ["\ud800", "é"]
+
+
+class TestLineSpill:
+    def test_gives_back_each_line_and_leaves_no_file(self, tmp_path):
+        records = [Record(id="\ud800", comment="é \u2028 \"x\"", code="\\"),
+                   Record(id="b", comment="", code="y", score=2.0, extra={"k": ["\udfff"]})]
+        with corpus.LineSpill(tmp_path / "out.jsonl") as spill:
+            for record in records:
+                spill.put(record)
+            assert os.listdir(tmp_path) == []
+            lines = list(spill)
+            assert list(spill) == lines  # each walk starts from the first line
+        assert lines == [corpus._ENCODE(r.to_json_obj()) + "\n" for r in records]
+        assert os.listdir(tmp_path) == []
 
 
 class TestWriteJsonl:

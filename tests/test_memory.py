@@ -24,16 +24,17 @@ WORDS = ("convert", "read", "write", "parse", "string", "file", "list", "value",
          "stream", "buffer", "index", "from", "into", "the", "a", "to", "with")
 CODE = "public static int parse(String text) { return Integer.parseInt(text.trim()); }"
 
-# Measured per extra record: rule-filter 8 B (one id hash), partition 35 B
-# (packed ids and scores, and the EM fit's transient copy of the scores for
-# its quartiles) and score 207 B (packed ids and encoded comments).  With
-# N = 500 for every stage, a stage that keeps every Record grows by 814, 747
-# and 734 B, a rule-filter that keeps a set of every id by 124 B, and a
-# partition that keeps its ids as a list of str by 135 B.  A partition whose EM
-# runs in four length-N float64 buffers grows by 60 B at 10 N, and one whose EM
-# makes new arrays for every expression by 92 B.  The bounds leave room for
-# container resizes.
-BOUND = {"rule_filter": 40, "partition": 45, "score": 300}
+# Measured per extra record: rule-filter 8 B (one id hash), partition 16 B
+# (scores, keep mask and the EM fit's transient copy of the scores for its
+# quartiles) and score 190 B (encoded comments); each stage spills its output
+# lines to a file, not to memory.  With N = 500 for every stage, a stage that
+# keeps every Record grows by 814, 747 and 734 B, a rule-filter that keeps a
+# set of every id by 124 B, a partition that keeps its ids as a list of str by
+# 135 B and as packed ids by 35 B, and a score that keeps packed ids by 207 B.
+# A partition whose EM runs in four length-N float64 buffers grows by 60 B at
+# 10 N, and one whose EM makes new arrays for every expression by 92 B.  The
+# bounds leave room for container resizes.
+BOUND = {"rule_filter": 40, "partition": 25, "score": 283}
 
 
 def _comment(rng: random.Random, i: int) -> str:

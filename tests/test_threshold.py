@@ -12,6 +12,7 @@ from queryfilter.corpus import IdColumn
 from queryfilter.threshold import (
     _CHUNK,
     SIGMA_FLOOR,
+    _quartiles,
     dividing_point,
     fit_em_gmm,
     kmeans_two,
@@ -223,7 +224,7 @@ class TestFitEmGmm:
 
     def test_memory_does_not_grow_with_the_losses(self):
         # Four length-N EM buffers grew the traced peak by 32 B per loss; the
-        # percentiles' transient copy of the losses is what still grows.
+        # quartiles' transient copy of the losses is what still grows.
         def traced_peak(n):
             x = em_sample(np.random.default_rng(n), n, "bimodal")
             tracemalloc.start()
@@ -273,6 +274,47 @@ class TestFitEmGmm:
         x = np.concatenate([np.linspace(0.0, 1.0, 10), np.linspace(5.0, 6.0, 10)])
         assert len(fit_em_gmm(x, max_iter=1).loglik_trace) == 1
         assert fit_em_gmm(x, tol=0.0).mu_q < 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestQuartiles:
+    # Both come from one partitioned copy, by numpy's interpolation steps.  That
+    # partition can order 0.0 and -0.0, which compare equal, otherwise than
+    # np.percentile's one per quartile, so only a zero quartile of losses that
+    # hold both zeros may differ, and only in sign.
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=59)
+           | st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 2.5]), min_size=1, max_size=59))
+    def test_bit_for_bit_np_percentile(self, values):
+        x = np.array(values)
+        got, want = _quartiles(x), [np.percentile(x, 25), np.percentile(x, 75)]
+        if {math.copysign(1.0, v) for v in values if v == 0} == {1.0, -1.0}:
+            got, want = np.add(got, 0.0), np.add(want, 0.0)  # -0.0 + 0.0 is 0.0; others keep their bits
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 1002, 1003, 50_000, 50_001])
+    @pytest.mark.parametrize("kind", ["bimodal", "heavy", "tied"])
+    def test_bit_for_bit_np_percentile_on_large_samples(self, n, kind):
+        x = em_sample(np.random.default_rng(n), n, kind)
+        assert _bits(_quartiles(x)) == _bits([np.percentile(x, 25), np.percentile(x, 75)])
+
+    def test_signed_zero_quartiles_leave_the_fit_bit_for_bit(self):
+        # Here the upper quartile is -0.0 where np.percentile gives 0.0 (numpy
+        # 2.4); EM starts from the quartiles but only squares x - mu.
+        x = np.array([0.0, 1.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0,
+                      -0.0, 0.0, -0.0, -0.0, -0.0])
+        fields, converged = reference_em(x)
+        fit = fit_em_gmm(x)
+        assert _bits([fit.pi, fit.mu_q, fit.sigma_q, fit.mu_uq, fit.sigma_uq]) == _bits(fields[:5])
+        assert (fit.loglik_trace, fit.converged) == (fields[5], converged)
+
+    def test_leaves_the_losses_as_they_were(self):
+        x = np.arange(20.0)[::-1].copy()
+        _quartiles(x)
+        assert x.tolist() == list(np.arange(20.0)[::-1])
 
 
 class TestDecisionThreshold:
@@ -422,6 +464,16 @@ class TestPartition:
         assert report["n_retained"] == 5
         with pytest.raises(ValueError, match="length"):
             partition(ids, losses[:-1], strategy="gmm")
+
+    def test_ids_are_read_only_by_the_percentile_strategy(self):
+        ids = [f"r{i}" for i in range(20)]
+        losses = array("d", [1.0 + 0.01 * i if i % 3 else 6.0 + 0.01 * i for i in range(20)])
+        for strategy in ("gmm", "kmeans2"):
+            keep, report = partition(None, losses, strategy=strategy)
+            expected_keep, expected_report = partition(ids, losses, strategy=strategy)
+            assert keep.tolist() == expected_keep.tolist() and report == expected_report
+        with pytest.raises(ValueError, match="needs the ids"):
+            partition(None, losses, strategy="percentile", p=0.5)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
