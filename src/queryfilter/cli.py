@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ from .corpus import (
     BootstrapStats,
     CorpusError,
     IdColumn,
-    LineSpill,
     ProvenanceEntry,
     add_score,
     as_rejected,
@@ -38,6 +38,8 @@ from .corpus import (
     jsonl_writer,
     prepare_bootstrap,
     read_jsonl,
+    record_line,
+    spill_beside,
     write_jsonl,
 )
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
@@ -55,15 +57,16 @@ def _diag(quiet: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _distinct_outputs(retained, rejects) -> None:
-    """Reject a retained and a rejects output that are one file.
+def _distinct_outputs(**outputs) -> None:
+    """Reject two of a stage's outputs, given by name, that are one file.
 
-    Both are written at once, and two writers on one path would share one
-    temporary file, leaving only one of the outputs.
+    Two writers on one path share one temporary file, or the later output
+    replaces the earlier one, so only one of the outputs would be left.
     """
-    if os.path.realpath(retained) == os.path.realpath(rejects):
-        raise ValueError(f"retained output {retained} and rejects output {rejects} "
-                         "name the same file")
+    for (one, path), (other, other_path) in itertools.combinations(outputs.items(), 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise ValueError(f"{one} output {path} and {other} output {other_path} "
+                             "name the same file")
 
 
 def _write_json(obj: dict, path) -> None:
@@ -85,7 +88,8 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
     id hash :func:`read_jsonl` keeps for its duplicate check, about 8 B per
     record.
     """
-    _distinct_outputs(cfg.paths.rule_retained, cfg.paths.rule_rejects)
+    _distinct_outputs(retained=cfg.paths.rule_retained, rejects=cfg.paths.rule_rejects,
+                      stats=cfg.paths.rule_stats)
     ruleset = ruleset_from_config(cfg.ruleset.order, cfg.ruleset.disabled)
     modified = {r.id: 0 for r in ruleset.rules if r.kind == "transform"}
     discarded = {r.id: 0 for r in ruleset.rules if r.kind == "reject"}
@@ -165,6 +169,7 @@ def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
 
 
 def run_train(cfg: PipelineConfig, quiet=False):
+    _distinct_outputs(checkpoint=cfg.paths.checkpoint, vocabulary=cfg.paths.vocabulary)
     lines = [line.strip() for _, line in iter_lines(cfg.paths.bootstrap) if not line.isspace()]
     token_lists = [tokenize(line) for line in lines]
     vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
@@ -209,20 +214,20 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     """Attach a reconstruction-loss score to every record, reading them once.
 
     Pass 1 keeps each record's encoded comment as an ``array('i')`` (4 B per
-    token plus about 64 B) and spills the record's output line, all but the
-    score, to a :class:`LineSpill` beside the output.  It then scores them
-    all, so length groups span the whole file; the stage peaks at about
-    190 B per record.  Pass 2 copies each spilled line to the output with
-    its score added.
+    token plus about 64 B) and spills the record's :func:`record_line`, all
+    but the score, to an unnamed file beside the output (:func:`spill_beside`).
+    It then scores them all, so length groups span the whole file; the stage
+    peaks at about 190 B per record.  Pass 2 copies each spilled line's bytes
+    to the output with its score added.
     """
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
     encoded = []
-    with LineSpill(cfg.paths.scored) as spill:
+    with spill_beside(cfg.paths.scored) as spill:
         for record in read_jsonl(cfg.paths.rule_retained):
             encoded.append(array("i", vocab.encode(tokenize(record.comment), vae_cfg.max_len)))
             record.score = None
-            spill.put(record)
+            spill.write(record_line(record))
 
         empty = sum(1 for seq in encoded if len(seq) == 2)
         if empty:
@@ -244,7 +249,8 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
                 scores[i::jobs] = part
         del encoded  # pass 2 needs only the scores
 
-        with atomic_open(cfg.paths.scored) as out:
+        spill.seek(0)
+        with atomic_open(cfg.paths.scored, "wb") as out:
             for i, line in enumerate(spill):
                 out.write(add_score(line, scores.item(i)))
     _diag(quiet, f"score: {len(scores)} records scored")
@@ -261,19 +267,20 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
 
     Pass 1 keeps each record's score in an ``array('d')``, and only for the
     percentile strategy, whose ties go by id, its id in an :class:`IdColumn`.
-    It spills the record's output line as a retained record to a
-    :class:`LineSpill` beside the retained output; with ``strip_provenance``
-    it spills the stripped line first, so both forms are at hand.  The fit
-    adds a keep mask (1 B per record); the EM fit works in fixed-size
-    chunks, and only its quartiles take a transient copy of the scores.
-    Pass 2 copies each spilled line to the retained output, or with its
-    semantic entry rejected to the rejects output.  The stage peaks at about
-    20 B per record with the gmm strategy.
+    It spills the record's :func:`record_line` as a retained record to an
+    unnamed file beside the retained output (:func:`spill_beside`); with
+    ``strip_provenance`` it spills the stripped line first, so both forms
+    are at hand.  The fit adds a keep mask (1 B per record); the EM fit
+    works in fixed-size chunks, and only its quartiles take a transient copy
+    of the scores.  Pass 2 copies each spilled line's bytes to the retained
+    output, or with its semantic entry rejected to the rejects output.  The
+    stage peaks at about 20 B per record with the gmm strategy.
     """
-    _distinct_outputs(cfg.paths.retained, cfg.paths.semantic_rejects)
+    _distinct_outputs(retained=cfg.paths.retained, rejects=cfg.paths.semantic_rejects,
+                      report=cfg.paths.report)
     ids = IdColumn() if cfg.threshold.strategy == "percentile" else None
     scores, missing, first_missing = array("d"), 0, None
-    with LineSpill(cfg.paths.retained) as spill:
+    with spill_beside(cfg.paths.retained) as spill:
         for record in read_jsonl(cfg.paths.scored):
             if ids is not None:
                 ids.append(record.id)
@@ -285,20 +292,20 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
                 scores.append(record.score)
             if strip_provenance:
                 provenance, record.provenance = record.provenance, []
-                spill.put(record)
+                spill.write(record_line(record))
                 record.provenance = provenance
             record.provenance.append(ProvenanceEntry("semantic", "retained"))
-            spill.put(record)
+            spill.write(record_line(record))
         if missing:
             raise MissingScoreError(f"{missing} records lack scores (first: {first_missing}); "
                                     "run the score stage first")
         keep, report = partition(ids, scores, **dataclasses.asdict(cfg.threshold))
 
-        lines = iter(spill)
+        spill.seek(0)
         # Each record's (line if retained, line if rejected, before its action is swapped)
-        both = zip(lines, lines) if strip_provenance else ((line, line) for line in lines)
-        with atomic_open(cfg.paths.semantic_rejects) as rejects, \
-                atomic_open(cfg.paths.retained) as retained:
+        both = zip(spill, spill) if strip_provenance else ((line, line) for line in spill)
+        with atomic_open(cfg.paths.semantic_rejects, "wb") as rejects, \
+                atomic_open(cfg.paths.retained, "wb") as retained:
             for kept, (retained_line, line) in zip(keep, both):
                 if kept:
                     retained.write(retained_line)

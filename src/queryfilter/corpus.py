@@ -282,71 +282,56 @@ def _json_encoder() -> Callable[[object], str]:
 _ENCODE = _json_encoder()
 
 
+def record_line(record: Record) -> bytes:
+    """The JSONL line of ``record``, UTF-8 with its newline: every record line written.
+
+    A lone surrogate, which JSON admits as an escape such as ``"\\ud800"``,
+    cannot be UTF-8; it is written back as that escape, so the line reads
+    back as the same record.
+    """
+    return (_ENCODE(record.to_json_obj()) + "\n").encode("utf-8", "backslashreplace")
+
+
 @contextlib.contextmanager
 def jsonl_writer(path) -> Iterator[Callable[[Record], None]]:
-    """Yield ``put(record)``, which appends one record to ``path`` as a JSONL line.
+    """Yield ``put(record)``, which appends :func:`record_line` of a record to ``path``.
 
     The file is written through :func:`atomic_open`: it appears only when the
     block finishes, and a block that raises leaves ``path`` as it was.
     """
-    with atomic_open(path) as fh:
+    with atomic_open(path, "wb") as fh:
         write = fh.write
-
-        def put(record: Record) -> None:
-            write(_ENCODE(record.to_json_obj()) + "\n")
-
-        yield put
+        yield lambda record: write(record_line(record))
 
 
-class LineSpill:
-    """Records' JSONL lines, parked in an unnamed file between a stage's two passes.
+def spill_beside(path):
+    """An unnamed binary :func:`tempfile.TemporaryFile` in the directory of ``path``.
 
-    The file is a :func:`tempfile.TemporaryFile` in the directory of
-    ``beside``, the output it is spilled for, so it has no name and is gone
-    once closed, or once the process ends however it ends.  It holds each
-    line as UTF-8, about the size of that output.  Lines are stored with
-    ``surrogatepass``, since JSON admits lone surrogates, so writing a line
-    out fails just where writing the record would.  Use it as a context
-    manager, which closes the file.
+    A stage parks its output lines there between its two passes.  The file
+    has no name and is gone once closed, or once the process ends however
+    it ends.
     """
-
-    def __init__(self, beside) -> None:
-        self._file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(beside)))
-
-    def __enter__(self) -> "LineSpill":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._file.close()
-
-    def put(self, record: Record) -> None:
-        """Append the JSONL line of ``record``, as :func:`jsonl_writer` writes it."""
-        self._file.write((_ENCODE(record.to_json_obj()) + "\n").encode("utf-8", "surrogatepass"))
-
-    def __iter__(self) -> Iterator[str]:
-        """Each line put so far, in order, with its newline."""
-        self._file.seek(0)
-        for raw in self._file:
-            yield raw.decode("utf-8", "surrogatepass")
+    return tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
 
 
-# Line layouts that LineSpill's users rely on.  Record.to_json_obj writes
-# "score" last; a semantic provenance entry is the last entry when a stage
-# has just appended it, and only "score" can follow the provenance.
-def add_score(line: str, score: float) -> str:
+# Line layouts of record_line that the spilling stages rely on.
+# Record.to_json_obj writes "score" last; a semantic provenance entry is the
+# last entry when a stage has just appended it, and only "score" can follow
+# the provenance.
+def add_score(line: bytes, score: float) -> bytes:
     """``line``, the JSONL line of a record without a score, with ``score`` set."""
-    return line[:-2] + ', "score": ' + _ENCODE(score) + "}\n"
+    return line[:-2] + b', "score": ' + _ENCODE(score).encode() + b"}\n"
 
 
-def as_rejected(line: str) -> str:
+def as_rejected(line: bytes) -> bytes:
     """``line``, whose last provenance entry a stage just appended as
     ``retained``, with that entry's action ``rejected`` (a word as wide)."""
-    at = line.rfind('"retained"}]')
-    return line[:at] + '"rejected"' + line[at + 10:]
+    at = line.rfind(b'"retained"}]')
+    return line[:at] + b'"rejected"' + line[at + 10:]
 
 
 def write_jsonl(records: Iterable[Record], path) -> int:
-    """Write records as UTF-8 JSONL, one object per line, atomically. Returns the count.
+    """Write each record's :func:`record_line` to ``path``, atomically. Returns the count.
 
     ``records`` may be a lazy iterable; it is consumed one record at a time.
     """

@@ -54,12 +54,6 @@ class Vocabulary:
         body = [self.id_of(t) for t in tokens[: max_len - 2]]
         return [BOS] + body + [EOS]
 
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        """Inverse of :meth:`encode` for in-vocabulary input; drops specials."""
-        return [
-            self.id_to_token[i] for i in ids if i not in (PAD, BOS, EOS)
-        ]
-
     def serialize(self) -> str:
         return "\n".join(self.id_to_token) + "\n"
 

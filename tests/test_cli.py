@@ -320,6 +320,18 @@ class TestRuleFilterCommand:
         assert retained in err and rejects in err and "same file" in err
         assert not (tmp_path / "rule_retained.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--retained", "--rejects"])
+    def test_stats_on_a_record_output_exits_1(self, tmp_path, capsys, flag):
+        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
+        (tmp_path / "sub").mkdir()
+        cfg = small_config(tmp_path)
+        stats, out = str(tmp_path / "out.json"), str(tmp_path / "sub/../out.json")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet",
+                     "--stats", stats, flag, out]) == 1
+        err = capsys.readouterr().err
+        assert stats in err and out in err and "same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "pipeline.ini", "sub"]
+
     def test_malformed_line_near_the_end_keeps_both_earlier_outputs(self, tmp_path, capsys):
         # Enough records that both outputs are partly written when the bad line is met.
         rows = [(f"k{i:05d}", f"Convert value {i} to a string." if i % 3 else f"See http://x.org/{i}")
@@ -519,6 +531,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--quiet"]) == 3
         assert "non-finite loss at optimizer step" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
+
+    def test_checkpoint_and_vocabulary_on_one_file_exit_1(self, tmp_path, capsys):
+        (tmp_path / "bootstrap.txt").write_text("convert string to int\nread a file\n",
+                                                encoding="utf-8")
+        cfg = small_config(tmp_path)
+        out = str(tmp_path / "model.out")
+        assert main(["train", "--config", str(cfg), "--quiet",
+                     "--checkpoint", out, "--vocabulary", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count(out) == 2 and "same file" in err
+        assert not (tmp_path / "model.out").exists()
 
     def test_artifacts_written(self, trained_pipeline):
         tmp_path, _ = trained_pipeline
@@ -843,6 +866,17 @@ class TestPartitionCommand:
         err = capsys.readouterr().err
         assert err.count(out) == 2 and "same file" in err
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", ["--retained", "--rejects"])
+    def test_report_on_a_record_output_exits_1(self, tmp_path, capsys, flag):
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path)
+        out = str(tmp_path / "out.json")
+        assert main(["partition", "--config", str(cfg), "--quiet",
+                     "--report", out, flag, out]) == 1
+        err = capsys.readouterr().err
+        assert err.count(out) == 2 and "same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini", "scored.jsonl"]
 
     def test_malformed_line_near_the_end_keeps_both_earlier_outputs(self, tmp_path, capsys):
         write_scored(tmp_path / "scored.jsonl", 30)

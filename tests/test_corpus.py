@@ -339,18 +339,28 @@ class TestIdColumn:
         assert list(first) == ["\ud800", "é"]
 
 
-class TestLineSpill:
-    def test_gives_back_each_line_and_leaves_no_file(self, tmp_path):
-        records = [Record(id="\ud800", comment="é \u2028 \"x\"", code="\\"),
-                   Record(id="b", comment="", code="y", score=2.0, extra={"k": ["\udfff"]})]
-        with corpus.LineSpill(tmp_path / "out.jsonl") as spill:
-            for record in records:
-                spill.put(record)
+class TestSpillBeside:
+    def test_has_no_name_while_open_and_leaves_nothing_after_close(self, tmp_path):
+        with corpus.spill_beside(tmp_path / "out.jsonl") as spill:
+            spill.write(b"one\n")
+            spill.write(b"two\n")
             assert os.listdir(tmp_path) == []
-            lines = list(spill)
-            assert list(spill) == lines  # each walk starts from the first line
-        assert lines == [corpus._ENCODE(r.to_json_obj()) + "\n" for r in records]
+            spill.seek(0)
+            assert list(spill) == [b"one\n", b"two\n"]
         assert os.listdir(tmp_path) == []
+
+
+class TestRecordLine:
+    def test_writes_lone_surrogates_as_their_escapes_and_reads_them_back(self, tmp_path):
+        record = Record(id="\ud800", comment="é \u2028 \"x\" \\ud800", code="\udfff",
+                        provenance=[ProvenanceEntry("rule", "retained", before="\udfff")],
+                        extra={"k\ud800": ["\udfff"]})
+        line = corpus.record_line(record)
+        assert line == (b'{"id": "\\ud800", "comment": "\xc3\xa9 \xe2\x80\xa8 \\"x\\" \\\\ud800", '
+                        b'"code": "\\udfff", "k\\ud800": ["\\udfff"], "provenance": '
+                        b'[{"stage": "rule", "action": "retained", "before": "\\udfff"}]}\n')
+        (tmp_path / "out.jsonl").write_bytes(line)
+        assert list(read_jsonl(tmp_path / "out.jsonl")) == [record]
 
 
 class TestWriteJsonl:

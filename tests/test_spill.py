@@ -1,11 +1,12 @@
-"""Score and partition write each record exactly as its Record would be written.
+"""Rule-filter, score and partition write each record as ``record_line`` writes it.
 
-Both stages spill each record's output line in their one read and fill in the
-score or the semantic action afterwards.  These tests draw records whose text
-holds what that splice looks for (`"retained"}]`, `, "score": `), quotes,
+Score and partition spill each record's output line in their one read and
+fill in the score or the semantic action afterwards; rule-filter writes its
+records through the same encoder.  These tests draw records whose text holds
+what the splice looks for (`"retained"}]`, `, "score": `), quotes,
 backslashes, line separators, lone surrogates and non-ASCII text, and hold
-every output line to ``_ENCODE(record.to_json_obj()) + "\\n"`` for the record
-the stage should have written.
+every output line to ``record_line(record)`` for the record the stage should
+have written.
 """
 
 import contextlib
@@ -17,15 +18,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from queryfilter.checkpoint import save_checkpoint
 from queryfilter.cli import main
-from queryfilter.corpus import _ENCODE, ProvenanceEntry, Record, read_jsonl
+from queryfilter.config import PipelineConfig
+from queryfilter.corpus import (ProvenanceEntry, Record, extract_first_sentence, read_jsonl,
+                                record_line)
+from queryfilter.rules import apply_ruleset, ruleset_from_config
 from queryfilter.threshold import partition
 from queryfilter.vae import VaeConfig, init_params, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
 
 WORDS = ("read", "write", "parse", "file", "the", "a", "to")
 PIECES = ("read", "a", " ", "é", "中", "\U0001f600", '"', "\\", "\u2028", "\n", '"retained"}]',
-          ', "score": ', '"rejected"', "}", "]", "retained")
-SURROGATES = ("\ud800", "\udfff")  # no output line can hold one; the stage exits 1
+          ', "score": ', '"rejected"', "}", "]", "retained", "<b>", "(a)", ".")
+SURROGATES = ("\ud800", "\udfff")  # written back as the JSON escapes "\ud800" and "\udfff"
 
 
 @st.composite
@@ -50,10 +54,8 @@ def _records(draw, score):
 _score = st.integers(0, 10**6) | st.floats(0.0, 1e300)
 
 
-def _write_input(path, records, newline):
-    # A lone surrogate cannot be UTF-8; as backslashreplace writes it, it is a JSON escape.
-    path.write_bytes(b"".join(_ENCODE(r.to_json_obj()).encode("utf-8", "backslashreplace")
-                              + newline for r in records))
+def _write_input(path, records, newline=b"\n"):
+    path.write_bytes(b"".join(record_line(r)[:-1] + newline for r in records))
 
 
 def _run(argv):
@@ -63,20 +65,73 @@ def _run(argv):
     return code, err.getvalue()
 
 
-def _check(outputs, expected, code, err):
-    """Every output holds the expected records' lines, or, where a line cannot be
-    UTF-8, the stage exits 1 and writes no output."""
-    texts = {path: "".join(_ENCODE(r.to_json_obj()) + "\n" for r in records)
-             for path, records in expected.items()}
-    try:
-        wanted = {path: text.encode("utf-8") for path, text in texts.items()}
-    except UnicodeEncodeError:
-        assert code == 1 and "surrogates not allowed" in err
-        assert not any(path.exists() for path in outputs)
-        return
+def _check(expected, code, err):
+    """The stage succeeded, and each output holds ``record_line`` of its expected
+    records, which is also what it reads back as."""
     assert (code, err) == (0, "")
-    for path, data in wanted.items():
-        assert path.read_bytes() == data
+    for path, records in expected.items():
+        assert path.read_bytes() == b"".join(record_line(r) for r in records)
+        assert list(read_jsonl(path)) == records
+
+
+def _rule_filtered(records):
+    """``{retained: records, rejected: records}`` as rule-filter writes them."""
+    ruleset = ruleset_from_config(PipelineConfig().ruleset.order, ())
+    out = {True: [], False: []}
+    for record in records:
+        first = extract_first_sentence(record.comment)
+        if first != record.comment:
+            record.provenance.append(ProvenanceEntry("extract", "transformed",
+                                                     before=record.comment, after=first))
+        outcome = apply_ruleset(ruleset, first)
+        record.provenance += [ProvenanceEntry("rule", "transformed", s.rule_id, s.before, s.after)
+                              for s in outcome.transforms]
+        record.comment = outcome.transforms[-1].after if outcome.transforms else first
+        kept = outcome.action != "rejected"
+        record.provenance.append(ProvenanceEntry("rule", "retained" if kept else "rejected",
+                                                 outcome.rule_id))
+        out[kept].append(record)
+    return out
+
+
+def _scored(records, model):
+    _, vocab, params, cfg = model
+    scores = reconstruction_loss(params, [vocab.encode(tokenize(r.comment), cfg.max_len)
+                                          for r in records])
+    return [dataclasses.replace(r, score=float(s)) for r, s in zip(records, scores)]
+
+
+def _partitioned(records, strategy, strip):
+    """``{retained: records, rejected: records}`` as partition writes them at p = 0.5."""
+    keep, _ = partition([r.id for r in records], [r.score for r in records], strategy, p=0.5)
+    out = {True: [], False: []}
+    for record, kept in zip(records, keep):
+        if kept and strip:
+            record.provenance = []
+        else:
+            record.provenance.append(ProvenanceEntry("semantic",
+                                                     "retained" if kept else "rejected"))
+        out[bool(kept)].append(record)
+    return out
+
+
+def _rule_filter_argv(tmp):
+    return ["rule-filter", "--quiet", "--input", str(tmp / "in.jsonl"),
+            "--retained", str(tmp / "retained.jsonl"), "--rejects", str(tmp / "rejects.jsonl"),
+            "--stats", str(tmp / "stats.json")]
+
+
+def _score_argv(tmp, root):
+    return ["score", "--quiet", "--input", str(tmp / "in.jsonl"),
+            "--checkpoint", str(root / "model.ckpt"), "--vocabulary", str(root / "vocab.txt"),
+            "--output", str(tmp / "out.jsonl")]
+
+
+def _partition_argv(tmp, strategy, strip):
+    return ["partition", "--quiet", "--input", str(tmp / "in.jsonl"),
+            "--retained", str(tmp / "retained.jsonl"), "--rejects", str(tmp / "rejects.jsonl"),
+            "--report", str(tmp / "report.json"), "--strategy", strategy, "--p", "0.5",
+            *(["--strip-provenance"] if strip else [])]
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +148,21 @@ def model(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_records(st.none() | _score), st.sampled_from([b"\n", b"\r\n"]))
+def test_rule_filter_writes_each_record_with_its_provenance(tmp_path_factory, records, newline):
+    tmp = tmp_path_factory.mktemp("rule_filter")
+    _write_input(tmp / "in.jsonl", records, newline)
+    code, err = _run(_rule_filter_argv(tmp))
+    out = _rule_filtered(list(read_jsonl(tmp / "in.jsonl")))
+    _check({tmp / "retained.jsonl": out[True], tmp / "rejects.jsonl": out[False]}, code, err)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_records(st.none() | _score), st.sampled_from([b"\n", b"\r\n"]))
 def test_score_writes_each_record_with_its_score(tmp_path_factory, model, records, newline):
-    root, vocab, params, cfg = model
     tmp = tmp_path_factory.mktemp("score")
     _write_input(tmp / "in.jsonl", records, newline)
-    code, err = _run(["score", "--quiet", "--input", str(tmp / "in.jsonl"),
-                      "--checkpoint", str(root / "model.ckpt"),
-                      "--vocabulary", str(root / "vocab.txt"), "--output", str(tmp / "out.jsonl")])
-    read = list(read_jsonl(tmp / "in.jsonl"))
-    scores = reconstruction_loss(params, [vocab.encode(tokenize(r.comment), cfg.max_len)
-                                          for r in read])
-    scored = [dataclasses.replace(r, score=float(s)) for r, s in zip(read, scores)]
-    _check([tmp / "out.jsonl"], {tmp / "out.jsonl": scored}, code, err)
+    code, err = _run(_score_argv(tmp, model[0]))
+    _check({tmp / "out.jsonl": _scored(list(read_jsonl(tmp / "in.jsonl")), model)}, code, err)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -114,22 +172,36 @@ def test_partition_writes_each_record_with_its_action(tmp_path_factory, records,
                                                       strategy, strip):
     tmp = tmp_path_factory.mktemp("partition")
     _write_input(tmp / "in.jsonl", records, newline)
-    outputs = [tmp / "retained.jsonl", tmp / "rejects.jsonl"]
-    code, err = _run(["partition", "--quiet", "--input", str(tmp / "in.jsonl"),
-                      "--retained", str(outputs[0]), "--rejects", str(outputs[1]),
-                      "--report", str(tmp / "report.json"), "--strategy", strategy, "--p", "0.5",
-                      *(["--strip-provenance"] if strip else [])])
-    read = list(read_jsonl(tmp / "in.jsonl"))
-    keep, _ = partition([r.id for r in read], [r.score for r in read], strategy, p=0.5)
-    retained, rejected = [], []
-    for record, kept in zip(read, keep):
-        if kept:
-            if strip:
-                record.provenance = []
-            else:
-                record.provenance.append(ProvenanceEntry("semantic", "retained"))
-            retained.append(record)
-        else:
-            record.provenance.append(ProvenanceEntry("semantic", "rejected"))
-            rejected.append(record)
-    _check(outputs, {outputs[0]: retained, outputs[1]: rejected}, code, err)
+    code, err = _run(_partition_argv(tmp, strategy, strip))
+    out = _partitioned(list(read_jsonl(tmp / "in.jsonl")), strategy, strip)
+    _check({tmp / "retained.jsonl": out[True], tmp / "rejects.jsonl": out[False]}, code, err)
+
+
+# Lone surrogates as JSON admits them, escaped, in an id, the code, an extra key
+# and value and a provenance string; the comments pass every rule.
+SURROGATE_LINES = b"".join(
+    b'{"id": "%d\\ud800", "comment": "Read the %s file from the disk.", "code": "x = \\"\\udfff\\"", '
+    b'"k\\udfff": ["\\ud800", %d], "provenance": [{"stage": "rule", "action": "retained", '
+    b'"before": "\\udfff\\ud800"}], "score": %d.5}\n' % (i, word, i, i)
+    for i, word in enumerate([b"csv", b"json", b"text", b"log"]))
+
+
+@pytest.mark.parametrize("stage", ["rule-filter", "score", "percentile", "kmeans2", "strip"])
+def test_lone_surrogate_escapes_pass_every_stage(tmp_path, model, stage):
+    (tmp_path / "in.jsonl").write_bytes(SURROGATE_LINES)
+    records = list(read_jsonl(tmp_path / "in.jsonl"))
+    assert records[0].id == "0\ud800" and records[0].extra == {"k\udfff": ["\ud800", 0]}
+    if stage == "rule-filter":
+        code, err = _run(_rule_filter_argv(tmp_path))
+        out = _rule_filtered(records)
+        expected = {tmp_path / "retained.jsonl": out[True], tmp_path / "rejects.jsonl": out[False]}
+    elif stage == "score":
+        code, err = _run(_score_argv(tmp_path, model[0]))
+        expected = {tmp_path / "out.jsonl": _scored(records, model)}
+    else:
+        strategy, strip = ("percentile", True) if stage == "strip" else (stage, False)
+        code, err = _run(_partition_argv(tmp_path, strategy, strip))
+        out = _partitioned(records, strategy, strip)
+        expected = {tmp_path / "retained.jsonl": out[True], tmp_path / "rejects.jsonl": out[False]}
+    _check(expected, code, err)
+    assert b'"id": "0\\ud800"' in b"".join(path.read_bytes() for path in expected)

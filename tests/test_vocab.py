@@ -77,9 +77,9 @@ class TestEncodeDecode:
             self._vocab().encode(["a"], max_len=2)
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=10))
-    def test_decode_inverts_encode_in_vocab(self, tokens):
+    def test_encode_maps_in_vocab_tokens_to_their_ids(self, tokens):
         vocab = self._vocab()
-        assert vocab.decode(vocab.encode(tokens, max_len=20)) == tokens
+        assert vocab.encode(tokens, max_len=20) == [BOS, *map(vocab.id_to_token.index, tokens), EOS]
 
     def test_encode_length_bounds(self):
         vocab = self._vocab()
