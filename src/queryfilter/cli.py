@@ -197,17 +197,63 @@ def run_train(cfg: PipelineConfig, quiet=False):
 # ----------------------------------------------------------------------
 
 
-# Pool workers receive the model once, through the initializer, and look
-# `reconstruction_loss` up when they call it, so no function is sent to them.
-_SCORER: dict = {}
+class WorkerError(RuntimeError):
+    pass
 
 
-def _score_init(params) -> None:
-    _SCORER["params"] = params
+def _score_share(conn, params, share) -> None:
+    """A worker of :func:`run_score`: send its share's scores, or its exception.
+
+    It looks ``reconstruction_loss`` up when it calls it, so under fork it
+    runs what the calling process would.
+    """
+    try:
+        conn.send(reconstruction_loss(params, share))
+    except Exception as exc:
+        conn.send(exc)
+    conn.close()
 
 
-def _score_worker(share):
-    return reconstruction_loss(_SCORER["params"], share)
+def _score_in_processes(params, encoded: list, jobs: int) -> np.ndarray:
+    """Score ``encoded`` in ``jobs`` processes: this one and ``jobs - 1`` workers.
+
+    Share i is ``encoded[i::jobs]``; this process scores share 0 while the
+    workers, each with a one-way pipe back, score the rest.  A score depends
+    only on its record's ids, so the split changes no score.  A worker's
+    exception is raised here; a worker that dies before it sends raises
+    :class:`WorkerError`.  Workers still running on the way out are ended.
+    """
+    import multiprocessing  # ~0.7 MB that only workers need
+
+    scores = np.empty(len(encoded))
+    workers = []
+    try:
+        for i in range(1, jobs):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_score_share,
+                                             args=(sender, params, encoded[i::jobs]))
+            worker.start()
+            workers.append((worker, receiver))
+            sender.close()  # else a later worker holds it, and a death reads no EOF
+        scores[0::jobs] = reconstruction_loss(params, encoded[0::jobs])
+        for i, (worker, receiver) in enumerate(workers, 1):
+            try:
+                part = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise WorkerError(f"score worker {i} (pid {worker.pid}, records {i}::{jobs}) "
+                                  f"exited with code {worker.exitcode} before sending its scores"
+                                  ) from None
+            if isinstance(part, Exception):
+                raise part
+            scores[i::jobs] = part
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+    return scores
 
 
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
@@ -233,20 +279,11 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
         if empty:
             _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-        jobs = min(jobs, len(encoded))  # a worker with no records would idle
+        jobs = min(jobs, len(encoded))  # a process with no records would idle
         if jobs <= 1:
             scores = reconstruction_loss(params, encoded)
         else:
-            import multiprocessing  # ~0.7 MB that only a pool of workers needs
-
-            # Worker i scores the records i::jobs.  A score depends only on its
-            # record's ids, so the split changes no score.
-            scores = np.empty(len(encoded))
-            with multiprocessing.Pool(jobs, initializer=_score_init, initargs=(params,)) as pool:
-                parts = pool.map(_score_worker, [encoded[i::jobs] for i in range(jobs)],
-                                 chunksize=1)
-            for i, part in enumerate(parts):
-                scores[i::jobs] = part
+            scores = _score_in_processes(params, encoded, jobs)
         del encoded  # pass 2 needs only the scores
 
         spill.seek(0)
@@ -377,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="attach reconstruction-loss scores to records")
     p.set_defaults(handler=lambda args: run_score(_load_cfg(args), args.jobs, args.quiet))
-    _common_flags(p, "worker processes for the score stage")
+    _common_flags(p, "processes that score: this one and N - 1 workers")
     p.add_argument("--input", dest="rule_retained")
     p.add_argument("--checkpoint")
     p.add_argument("--vocabulary")
@@ -397,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run all stages end to end")
     p.set_defaults(handler=_run_all)
-    _common_flags(p, "worker processes for the score stage")
+    _common_flags(p, "processes that score: this one and N - 1 workers")
     p.add_argument("--input")
     p.add_argument("--bootstrap")
 
@@ -461,6 +498,7 @@ _ERROR_EXITS = (
     (CheckpointError, 4),
     (MissingScoreError, 5),
     (ValueError, 1),
+    (WorkerError, 1),
 )
 
 

@@ -217,8 +217,8 @@ def read_jsonl(path) -> Iterator[Record]:
     duplicate check.  Equal hashes, from a repeated id or a 64-bit collision,
     make it read the file again to name the first repeat in file order;
     distinct ids that collide raise nothing.  An input that cannot be read
-    twice, such as a pipe, still works, but with a duplicate it raises the
-    "changed while it was read" error.
+    twice, such as a pipe, still works, but with equal hashes it raises an
+    error that says the input repeats an id or two ids collide.
     """
     hashes = array("q")
     for line_no, obj in iter_json_objects(path):
@@ -240,9 +240,10 @@ def _raise_first_duplicate(path, sorted_hashes: np.ndarray) -> None:
     the first read's raises "changed while it was read"; one that finds no
     repeat returns, since the equal hashes were a collision.
     """
-    changed = f"{path} changed while it was read"
     if not os.path.isfile(path):  # a pipe would read empty, a named one could block
-        raise CorpusError(f"{changed}: it cannot be read again to name the repeated id")
+        raise CorpusError(f"{path} repeats an id, or two of its ids share a 64-bit hash, "
+                          "and it cannot be read again to name the id")
+    changed = f"{path} changed while it was read"
     repeats = set(sorted_hashes[1:][sorted_hashes[1:] == sorted_hashes[:-1]].tolist())
     hashes, seen, first = array("q"), set(), None
     try:

@@ -332,6 +332,16 @@ class TestRuleFilterCommand:
         assert stats in err and out in err and "same file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "pipeline.ini", "sub"]
 
+    def test_repeated_id_through_a_fifo_exits_2_saying_so(self, tmp_path):
+        write_pairs(tmp_path / "pairs.jsonl", [("a", "Read the file."), ("a", "Write the file.")])
+        done = run_through_fifo(tmp_path / "pairs.jsonl", [
+            "rule-filter", "--quiet", "--retained", str(tmp_path / "retained.jsonl"),
+            "--rejects", str(tmp_path / "rejects.jsonl"), "--stats", str(tmp_path / "stats.json")])
+        assert (done.returncode, done.stderr) == (2, (
+            f"error: {tmp_path / 'input.fifo'} repeats an id, or two of its ids share a 64-bit "
+            "hash, and it cannot be read again to name the id\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl"]
+
     def test_malformed_line_near_the_end_keeps_both_earlier_outputs(self, tmp_path, capsys):
         # Enough records that both outputs are partly written when the bad line is met.
         rows = [(f"k{i:05d}", f"Convert value {i} to a string." if i % 3 else f"See http://x.org/{i}")
@@ -387,27 +397,24 @@ class TestBootstrapCommand:
         assert not (tmp_path / "bootstrap.txt").exists()
 
 
-def in_process_pool(monkeypatch):
-    """Replace ``multiprocessing.Pool`` with one that maps in process; returns
-    the share sizes of each ``map`` call."""
-    mapped = []
+def score_shares(monkeypatch):
+    """Record the shares a score stage scores, each as a list of id tuples:
+    those this process passes to ``reconstruction_loss``, and those given to
+    each worker as it is started.  The workers still run."""
+    here, started = [], []
+    real_loss, real_process = cli.reconstruction_loss, multiprocessing.Process
 
-    class InProcessPool:
-        def __init__(self, processes, initializer, initargs):
-            initializer(*initargs)
+    def reconstruction_loss(params, sequences):
+        here.append([tuple(seq) for seq in sequences])
+        return real_loss(params, sequences)
 
-        def __enter__(self):
-            return self
+    def process(target, args):
+        started.append([tuple(seq) for seq in args[-1]])
+        return real_process(target=target, args=args)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, shares, chunksize):
-            mapped.append([len(share) for share in shares])
-            return [fn(share) for share in shares]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    return mapped
+    monkeypatch.setattr(cli, "reconstruction_loss", reconstruction_loss)
+    monkeypatch.setattr(multiprocessing, "Process", process)
+    return here, started
 
 
 @pytest.fixture()
@@ -482,15 +489,31 @@ def run_through_fifo(data, argv):
 
 
 # Runs one CLI command in this interpreter, then prints which of the modules
-# that only train, score and a pool of workers need it loaded, and whether it
-# loaded numpy.ma, which no stage needs.
+# that only train and score, and score's workers, need it loaded, and whether it
+# loaded multiprocessing.pool or numpy.ma, which no stage needs.
 _IMPORT_PROBE = """
 import sys
 from queryfilter.cli import main
 code = main(sys.argv[1:])
-print(" ".join(m for m in ("hashlib", "_hashlib", "multiprocessing", "numpy.ma")
-               if m in sys.modules))
+print(" ".join(m for m in ("hashlib", "_hashlib", "multiprocessing", "multiprocessing.pool",
+                           "numpy.ma") if m in sys.modules))
 sys.exit(code)
+"""
+
+# Runs one CLI command with a scorer that SIGKILLs any process but this one, so
+# every score worker dies before it sends its scores.
+_KILLED_WORKER = """
+import os, signal, sys
+from queryfilter import cli
+caller, real = os.getpid(), cli.reconstruction_loss
+
+def reconstruction_loss(params, sequences):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(params, sequences)
+
+cli.reconstruction_loss = reconstruction_loss
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
@@ -505,6 +528,7 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
         "partition kmeans2": ["partition", "--strategy", "kmeans2"],
         "partition percentile": ["partition", "--strategy", "percentile", "--p", "0.5"],
         "score --jobs 1": ["score"],
+        "score --jobs 2": ["score", "--jobs", "2"],
         "score --jobs 3, one record": ["score", "--jobs", "3", "--input", str(tmp_path / "one.jsonl"),
                                        "--output", str(tmp_path / "one_scored.jsonl")],
         "train": ["train"],
@@ -518,7 +542,8 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
     # train and score hash the vocabulary; that train shows it proves the probe sees it.
     hashed = ["hashlib", "_hashlib"]
     assert loaded == {**{name: [] for name in commands}, "train": hashed,
-                      "score --jobs 1": hashed, "score --jobs 3, one record": hashed}
+                      "score --jobs 1": hashed, "score --jobs 2": [*hashed, "multiprocessing"],
+                      "score --jobs 3, one record": hashed}
 
 
 class TestTrainCommand:
@@ -673,30 +698,72 @@ class TestScoreCommand:
             assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs), *files]) == 0
             assert (tmp_path / "subset_scored.jsonl").read_bytes() == serial
 
-    def test_jobs_1_opens_no_pool_and_jobs_3_maps_three_shares(self, trained_pipeline, monkeypatch):
+    def test_jobs_1_starts_no_worker_and_jobs_3_scores_three_shares(self, trained_pipeline,
+                                                                    monkeypatch):
         tmp_path, cfg = trained_pipeline
-        mapped = in_process_pool(monkeypatch)
+        here, started = score_shares(monkeypatch)
         assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "1"]) == 0
-        assert mapped == []
+        assert started == []
+        [records] = here
+        serial = (tmp_path / "scored.jsonl").read_bytes()
+        here.clear()
         assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "3"]) == 0
-        n = sum(1 for _ in read_jsonl(tmp_path / "rule_retained.jsonl"))
-        assert mapped == [[len(range(i, n, 3)) for i in range(3)]]
+        # This process scores share 0 while two workers score the others.
+        assert here == [records[0::3]]
+        assert started == [records[1::3], records[2::3]]
+        assert (tmp_path / "scored.jsonl").read_bytes() == serial
 
-    def test_pool_never_outnumbers_the_records(self, trained_pipeline, monkeypatch):
+    def test_processes_never_outnumber_the_records(self, trained_pipeline, monkeypatch):
         tmp_path, cfg = trained_pipeline
-        mapped = in_process_pool(monkeypatch)
+        here, started = score_shares(monkeypatch)
         lines = (tmp_path / "rule_retained.jsonl").read_text(encoding="utf-8").splitlines(True)
         files = ["--input", str(tmp_path / "subset.jsonl"),
                  "--output", str(tmp_path / "subset_scored.jsonl")]
-        # (records, --jobs, shares the pool maps): no pool below two records.
-        for count, jobs, shares in ((0, 3, []), (1, 3, []), (2, 5, [[1, 1]])):
+        # (records, --jobs, share sizes here, share sizes of the workers started):
+        # no worker below two records.
+        for count, jobs, own, shares in ((0, 3, [0], []), (1, 3, [1], []), (2, 5, [1], [1])):
             (tmp_path / "subset.jsonl").write_text("".join(lines[:count]), encoding="utf-8")
             assert main(["score", "--config", str(cfg), "--quiet", *files]) == 0
             serial = (tmp_path / "subset_scored.jsonl").read_bytes()
-            mapped.clear()
+            here.clear()
+            started.clear()
             assert main(["score", "--config", str(cfg), "--quiet", "--jobs", str(jobs), *files]) == 0
-            assert mapped == shares
+            assert [len(share) for share in here] == own
+            assert [len(share) for share in started] == shares
             assert (tmp_path / "subset_scored.jsonl").read_bytes() == serial
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched scorer")
+    def test_worker_exception_exits_with_its_code(self, trained_pipeline, monkeypatch, capsys):
+        tmp_path, cfg = trained_pipeline
+        caller, real = os.getpid(), cli.reconstruction_loss
+
+        def reconstruction_loss(params, sequences):
+            if os.getpid() != caller:
+                raise TrainingError(f"non-finite loss in a share of {len(sequences)}")
+            return real(params, sequences)
+
+        monkeypatch.setattr(cli, "reconstruction_loss", reconstruction_loss)
+        assert main(["score", "--config", str(cfg), "--quiet", "--jobs", "2"]) == 3
+        n = sum(1 for _ in read_jsonl(tmp_path / "rule_retained.jsonl"))
+        assert capsys.readouterr().err == f"error: non-finite loss in a share of {n // 2}\n"
+        assert not (tmp_path / "scored.jsonl").exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched scorer")
+    def test_worker_killed_mid_share_exits_1_naming_it(self, trained_pipeline):
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+        done = subprocess.run([sys.executable, "-c", _KILLED_WORKER, "score", "--config", str(cfg),
+                               "--quiet", "--jobs", "2"],
+                              env=stage_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: score worker 1 (pid ")
+        assert "records 1::2) exited with code -9 before sending its scores" in done.stderr
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
 
     def test_record_score_independent_of_file_and_jobs(self, tmp_path):
         # A GEMM row's bits can depend on how many rows are multiplied, so
@@ -1191,6 +1258,7 @@ ERROR_EXITS = [
     (CheckpointError, 4),
     (cli.MissingScoreError, 5),
     (ValueError, 1),
+    (cli.WorkerError, 1),
 ]
 
 

@@ -304,8 +304,8 @@ class TestDuplicateCheck:
             if len(set(ids)) == len(ids):
                 assert [rec.id for rec in stream] == ids
             else:
-                with pytest.raises(CorpusError, match="changed while it was read: it cannot "
-                                                      "be read again"):
+                with pytest.raises(CorpusError, match="repeats an id, or two of its ids share "
+                                                      "a 64-bit hash, and it cannot be read again"):
                     list(stream)
         finally:
             os.close(r)
