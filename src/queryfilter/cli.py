@@ -29,7 +29,6 @@ from .config import PipelineConfig, load_config
 from .corpus import (
     BootstrapStats,
     CorpusError,
-    IdColumn,
     ProvenanceEntry,
     add_score,
     as_rejected,
@@ -58,11 +57,16 @@ def _diag(quiet: bool, message: str) -> None:
 
 
 def _distinct_outputs(**outputs) -> None:
-    """Reject two of a stage's outputs, given by name, that are one file.
+    """Reject a stage's outputs, given by name, that it could not all write.
 
-    Two writers on one path share one temporary file, or the later output
-    replaces the earlier one, so only one of the outputs would be left.
+    Each output's directory must exist, or the stage would find out only on
+    writing that output, after it had done its work and replaced the others.
+    No two outputs may be one file: two writers on one path share one
+    temporary file, or the later output replaces the earlier one.
     """
+    for name, path in outputs.items():
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(f"{name} output {path}: its directory does not exist")
     for (one, path), (other, other_path) in itertools.combinations(outputs.items(), 2):
         if os.path.realpath(path) == os.path.realpath(other_path):
             raise ValueError(f"{one} output {path} and {other} output {other_path} "
@@ -149,6 +153,7 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
 
 
 def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
+    _distinct_outputs(bootstrap=cfg.paths.bootstrap)
     ruleset = ruleset_from_config(cfg.ruleset.order, (*cfg.ruleset.disabled, "interrogation"))
     stats = BootstrapStats()
     titles = (line.rstrip("\r\n") for _, line in iter_lines(cfg.paths.titles))
@@ -170,13 +175,14 @@ def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
 
 def run_train(cfg: PipelineConfig, quiet=False):
     _distinct_outputs(checkpoint=cfg.paths.checkpoint, vocabulary=cfg.paths.vocabulary)
-    lines = [line.strip() for _, line in iter_lines(cfg.paths.bootstrap) if not line.isspace()]
-    token_lists = [tokenize(line) for line in lines]
+    vae_cfg = dataclasses.replace(cfg.vae, max_len=cfg.tokenizer.max_len, seed=cfg.seed)
+    vae_cfg.validate()  # before the bootstrap is read
+    # tokenize finds [a-z0-9]+ runs, so a line's surrounding whitespace never matters
+    token_lists = [tokenize(line) for _, line in iter_lines(cfg.paths.bootstrap)
+                   if not line.isspace()]
     vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
     sequences = [vocab.encode(tokens, cfg.tokenizer.max_len) for tokens in token_lists]
-    vae_cfg = dataclasses.replace(
-        cfg.vae, vocab_size=vocab.size, max_len=cfg.tokenizer.max_len, seed=cfg.seed
-    )
+    vae_cfg = dataclasses.replace(vae_cfg, vocab_size=vocab.size)
     _diag(quiet, f"train: {len(sequences)} sequences, vocabulary size {vocab.size}")
 
     def progress(stats):
@@ -266,6 +272,7 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     peaks at about 190 B per record.  Pass 2 copies each spilled line's bytes
     to the output with its score added.
     """
+    _distinct_outputs(scored=cfg.paths.scored)
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
     encoded = []
@@ -303,19 +310,20 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
     """Split scored records at the fitted threshold, reading them once.
 
     Pass 1 keeps each record's score in an ``array('d')``, and only for the
-    percentile strategy, whose ties go by id, its id in an :class:`IdColumn`.
-    It spills the record's :func:`record_line` as a retained record to an
-    unnamed file beside the retained output (:func:`spill_beside`); with
+    percentile strategy, whose ties go by id, its id in a list.  It spills
+    the record's :func:`record_line` as a retained record to an unnamed file
+    beside the retained output (:func:`spill_beside`); with
     ``strip_provenance`` it spills the stripped line first, so both forms
     are at hand.  The fit adds a keep mask (1 B per record); the EM fit
     works in fixed-size chunks, and only its quartiles take a transient copy
     of the scores.  Pass 2 copies each spilled line's bytes to the retained
     output, or with its semantic entry rejected to the rejects output.  The
-    stage peaks at about 20 B per record with the gmm strategy.
+    stage peaks at about 20 B per record with the gmm strategy, and at about
+    210 B with percentile, whose sort keys each position by its (score, id).
     """
     _distinct_outputs(retained=cfg.paths.retained, rejects=cfg.paths.semantic_rejects,
                       report=cfg.paths.report)
-    ids = IdColumn() if cfg.threshold.strategy == "percentile" else None
+    ids = [] if cfg.threshold.strategy == "percentile" else None
     scores, missing, first_missing = array("d"), 0, None
     with spill_beside(cfg.paths.retained) as spill:
         for record in read_jsonl(cfg.paths.scored):

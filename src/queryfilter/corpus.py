@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import operator
 import os
 import re
 import sys
 import tempfile
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -171,34 +170,6 @@ def iter_json_objects(path) -> Iterator[tuple[int, dict]]:
         if type(obj) is not dict:
             raise CorpusError("each line must be a JSON object", line_no)
         yield line_no, obj
-
-
-class IdColumn(Sequence[str]):
-    """An append-only sequence of ids, packed into one UTF-8 buffer.
-
-    A list of ``str`` costs about 70 B per 10-character id (the object and
-    its slot); here an id costs its UTF-8 bytes plus an 8 B end offset.  Ids
-    are encoded with ``surrogatepass``, since JSON admits lone surrogates
-    such as ``"\\ud800"``, so every ``str`` reads back exactly.
-    """
-
-    __slots__ = ("_data", "_ends")
-
-    def __init__(self) -> None:
-        self._data = bytearray()
-        self._ends = array("Q")
-
-    def append(self, id_: str) -> None:
-        self._data += id_.encode("utf-8", "surrogatepass")
-        self._ends.append(len(self._data))
-
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def __getitem__(self, i: int) -> str:
-        i = range(len(self._ends))[operator.index(i)]  # negative i; IndexError past the end
-        start = self._ends[i - 1] if i else 0
-        return self._data[start:self._ends[i]].decode("utf-8", "surrogatepass")
 
 
 # Reached through this name so that tests can make distinct ids collide.

@@ -71,6 +71,8 @@ class VaeConfig:
             raise ValueError("learning_rate must be a finite positive number")
         if self.kl_anneal_steps < 0:
             raise ValueError("kl_anneal_steps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

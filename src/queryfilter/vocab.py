@@ -29,13 +29,13 @@ class Vocabulary:
     def __post_init__(self):
         if self.id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise ValueError("vocabulary must start with the reserved special tokens")
-        if len(set(self.id_to_token)) != len(self.id_to_token):
-            raise ValueError("vocabulary tokens must be unique")
-        object.__setattr__(
-            self,
-            "_token_to_id",
-            {token: i for i, token in enumerate(self.id_to_token)},
-        )
+        token_to_id: dict[str, int] = {}
+        for i, token in enumerate(self.id_to_token):
+            first = token_to_id.setdefault(token, i)
+            if first != i:  # ids count from 0, lines of the serialized form from 1
+                raise ValueError(f'vocabulary tokens must be unique: "{token}" on line {i + 1} '
+                                 f"repeats line {first + 1}")
+        object.__setattr__(self, "_token_to_id", token_to_id)
 
     @property
     def size(self) -> int:
@@ -69,8 +69,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """Read one token per line; a line that is not UTF-8 raises ``CorpusError`` naming it."""
-        return cls(tuple(line.rstrip("\r\n") for _, line in iter_lines(path)))
+        """Read one token per line; a line that is not UTF-8 raises ``CorpusError`` naming it.
+
+        A file that is not a vocabulary raises ``ValueError`` naming ``path``.
+        """
+        tokens = tuple(line.rstrip("\r\n") for _, line in iter_lines(path))
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_vocab(

@@ -604,6 +604,18 @@ class TestTrainCommand:
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exits_1_before_the_bootstrap_is_read(self, tmp_path, capsys, how):
+        cfg = small_config(tmp_path)  # bootstrap.txt is absent: reading it would exit 2
+        argv = ["train", "--config", str(cfg), "--quiet"]
+        if how == "flag":
+            argv += ["--seed", "-5"]
+        else:
+            cfg.write_text(cfg.read_text().replace("seed = 7", "seed = -1"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini"]
+
     def test_checkpoint_takes_max_len_from_tokenizer_and_seed_from_pipeline(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline  # [tokenizer] max_len = 12, [pipeline] seed = 7
 
@@ -645,6 +657,27 @@ class TestScoreCommand:
             fh.write(b"x\xff\n")
         assert main(["score", "--config", str(cfg), "--quiet"]) == 2
         assert f"line {n + 1}: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "scored.jsonl").exists()
+
+    def test_repeated_vocabulary_token_exits_1_naming_the_file_token_and_lines(
+            self, trained_pipeline, capsys):
+        tmp_path, cfg = trained_pipeline
+        vocab = tmp_path / "vocab.txt"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        vocab.write_text("\n".join(lines + [lines[5]]) + "\n", encoding="utf-8")
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f'error: {vocab}: vocabulary tokens must be unique: "{lines[5]}" on line '
+            f"{len(lines) + 1} repeats line 6\n")
+        assert not (tmp_path / "scored.jsonl").exists()
+
+    def test_file_without_the_reserved_tokens_first_exits_1_naming_it(self, trained_pipeline,
+                                                                     capsys):
+        tmp_path, cfg = trained_pipeline
+        bootstrap = str(tmp_path / "bootstrap.txt")
+        assert main(["score", "--config", str(cfg), "--quiet", "--vocabulary", bootstrap]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bootstrap}: vocabulary must start with the reserved special tokens\n")
         assert not (tmp_path / "scored.jsonl").exists()
 
     def test_vocabulary_mismatch_exits_4(self, trained_pipeline):
@@ -1027,6 +1060,23 @@ class TestPartitionCommand:
         assert report["strategy"] == "percentile"
         assert report["retained_fraction"] == 1.0
 
+    @pytest.mark.parametrize("p, expected", [(0.375, ["", "a", "ab"]),
+                                             (0.625, ["", "a", "ab", "a\ud800", "b"])],
+                             ids=["three_of_eight", "five_of_eight"])
+    def test_percentile_ties_go_by_ascending_id(self, tmp_path, p, expected):
+        ids = ["é", "b", "", "a\ud800", "ab", "a", "z", "\U0001f600"]
+        # json.dumps writes every non-ASCII character, the lone surrogate too, as an escape.
+        (tmp_path / "scored.jsonl").write_text("".join(
+            json.dumps({"id": rid, "comment": "c", "code": "x", "score": 1.0}) + "\n"
+            for rid in ids), encoding="ascii")
+        cfg = small_config(tmp_path)
+        assert main(["partition", "--config", str(cfg), "--quiet",
+                     "--strategy", "percentile", "--p", str(p)]) == 0
+        retained = [r.id for r in read_jsonl(tmp_path / "retained.jsonl")]
+        rejected = [r.id for r in read_jsonl(tmp_path / "semantic_rejects.jsonl")]
+        assert sorted(retained) == expected
+        assert sorted(retained + rejected) == sorted(ids)
+
     def test_gmm_report_schema(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
         main(["score", "--config", str(cfg), "--quiet"])
@@ -1050,6 +1100,37 @@ class TestPartitionCommand:
         for rec in read_jsonl(tmp_path / "retained.jsonl"):
             assert rec.provenance == []
         assert (tmp_path / "retained.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+# Each stage's output flags, with the file that small_config names for each.
+STAGE_OUTPUTS = {
+    "rule-filter": {"--retained": "rule_retained.jsonl", "--rejects": "rule_rejects.jsonl",
+                    "--stats": "rule_stats.json"},
+    "bootstrap": {"--output": "bootstrap.txt"},
+    "train": {"--checkpoint": "model.ckpt", "--vocabulary": "vocab.txt"},
+    "score": {"--output": "scored.jsonl"},
+    "partition": {"--retained": "retained.jsonl", "--rejects": "semantic_rejects.jsonl",
+                  "--report": "report.json"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           STAGE_OUTPUTS.items() for flag in flags])
+def test_output_in_a_missing_directory_exits_2_before_any_output(trained_pipeline, capsys,
+                                                                 command, flag):
+    tmp_path, cfg = trained_pipeline
+    assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+    assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
+    for other, name in STAGE_OUTPUTS[command].items():
+        if other != flag:  # so that a rewrite with the same bytes would show too
+            (tmp_path / name).write_bytes(b"an earlier output\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    missing = str(tmp_path / "absent" / STAGE_OUTPUTS[command][flag])
+    assert main([command, "--config", str(cfg), "--quiet", flag, missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(
+        f" output {missing}: its directory does not exist\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 class TestRunCommand:

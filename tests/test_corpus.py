@@ -184,6 +184,12 @@ class TestReadJsonl:
         assert rec.provenance == [ProvenanceEntry("rule", "retained")]
         assert rec.to_json_obj()["provenance"] == [{"stage": "rule", "action": "retained"}]
 
+    def test_escaped_lone_surrogate_and_non_ascii_ids_read_back(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        _write_lines(f, ['{"id":"\\ud800","comment":"x","code":"y"}',
+                         '{"id":"\\u00e9","comment":"x","code":"y"}'])
+        assert [record.id for record in read_jsonl(f)] == ["\ud800", "é"]
+
     @pytest.mark.parametrize("extra", [{}, {"repo": "r", "stars": 3, "tags": ["a"]}])
     def test_slotted_record_round_trips_with_and_without_extra_fields(self, tmp_path, extra):
         f = tmp_path / "in.jsonl"
@@ -309,34 +315,6 @@ class TestDuplicateCheck:
                     list(stream)
         finally:
             os.close(r)
-
-
-class TestIdColumn:
-    @pytest.mark.parametrize("n", [0, 1, 3000])
-    def test_round_trips_every_id(self, n):
-        ids = [f"r{i}" * (i % 4) for i in range(n)]  # empty ids included
-        column = corpus.IdColumn()
-        for rid in ids:
-            column.append(rid)
-        assert len(column) == n and list(column) == ids == [column[i] for i in range(n)]
-        if n:
-            assert column[-1] == ids[-1] and column[np.int64(n - 1)] == ids[-1]
-        with pytest.raises(IndexError):
-            column[n]
-
-    def test_round_trips_non_ascii_and_lone_surrogate_ids(self, tmp_path):
-        ids = ["", "é", "中文", "\U0001f600", "\ud800", "a\udfffb", "𐀀"]
-        column = corpus.IdColumn()
-        for rid in ids:
-            column.append(rid)
-        assert [column[i] for i in range(len(ids))] == ids
-        f = tmp_path / "in.jsonl"
-        _write_lines(f, ['{"id":"\\ud800","comment":"x","code":"y"}',
-                         '{"id":"\\u00e9","comment":"x","code":"y"}'])
-        first = corpus.IdColumn()
-        for record in read_jsonl(f):
-            first.append(record.id)
-        assert list(first) == ["\ud800", "é"]
 
 
 class TestSpillBeside:

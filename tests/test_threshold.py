@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from queryfilter.corpus import IdColumn
 from queryfilter.threshold import (
     _CHUNK,
     SIGMA_FLOOR,
@@ -424,17 +423,16 @@ class TestPartition:
         retained, _, _ = partition_ids(scored, strategy="percentile", p=0.5)
         assert set(retained) == {"d", "a"}
 
-    @pytest.mark.parametrize("p", [0.25, 0.5, 0.7])
-    def test_percentile_id_column_gives_the_list_mask_on_tied_losses(self, p):
-        ids = ["é", "b", "", "a\ud800", "ab", "a", "z", "ä", "b0", "\U0001f600"] * 3
-        ids = [f"{rid}{i // 10}" for i, rid in enumerate(ids)]
-        losses = [float(i % 3) for i in range(len(ids))]
-        column = IdColumn()
-        for rid in ids:
-            column.append(rid)
-        keep, report = partition(column, losses, strategy="percentile", p=p)
-        expected, expected_report = partition(ids, losses, strategy="percentile", p=p)
-        assert keep.tolist() == expected.tolist() and report == expected_report
+    @pytest.mark.parametrize("p, expected", [
+        (0.375, ["", "a", "ab"]),
+        (0.625, ["", "a", "ab", "a\ud800", "b"]),
+    ], ids=["three_of_eight", "five_of_eight"])
+    def test_percentile_ties_go_by_ascending_id(self, p, expected):
+        # Code point order: U+D800 sorts after "b", so "a\ud800" after "ab"; "é" and "😀" last.
+        ids = ["é", "b", "", "a\ud800", "ab", "a", "z", "\U0001f600"]
+        keep, report = partition(ids, [1.0] * len(ids), strategy="percentile", p=p)
+        assert sorted(rid for rid, kept in zip(ids, keep) if kept) == expected
+        assert report["n_retained"] == len(expected) and report["boundary_loss"] == 1.0
 
     def test_percentile_one_retains_everything(self):
         scored = [(f"r{i}", float(i)) for i in range(7)]
