@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict
-from typing import get_type_hints
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .vae import VaeConfig, VaeParams, empty_params, named_tensors
 
 MAGIC = b"QDVA"
 VERSION = 2  # each GRU is one stacked (w, u, b) triple, see vae.GruWeights
-_CONFIG_TYPES = get_type_hints(VaeConfig)  # field name -> int or float
 
 
 class CheckpointError(RuntimeError):
@@ -74,15 +72,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         manifest = header["tensors"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # VaeConfig refuses a wrong type or value
         raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
-    for name, expected in _CONFIG_TYPES.items():
-        if type(getattr(config, name)) not in (expected, int):  # an int fits a float field
-            raise CheckpointError(f"{path}: config field {name!r} must be {expected.__name__}")
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
     if not isinstance(manifest, list) or not all(
         isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
         for entry in manifest

@@ -43,9 +43,9 @@ from .corpus import (
 )
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
 from .rules import apply_ruleset, ruleset_from_config
-from .threshold import partition
+from .threshold import check_partition_settings, partition
 from .vae import TrainingError, reconstruction_loss, train
-from .vocab import Vocabulary, build_vocab, tokenize
+from .vocab import Vocabulary, build_vocab, check_vocab_limits, tokenize
 
 class MissingScoreError(RuntimeError):
     pass
@@ -56,15 +56,31 @@ def _diag(quiet: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _distinct_outputs(**outputs) -> None:
-    """Reject a stage's outputs, given by name, that it could not all write.
+# The [paths] fields that each stage writes.
+_OUTPUTS = {
+    "rule-filter": ("rule_retained", "rule_rejects", "rule_stats"),
+    "bootstrap": ("bootstrap",),
+    "train": ("checkpoint", "vocabulary"),
+    "score": ("scored",),
+    "partition": ("retained", "semantic_rejects", "report"),
+}
 
-    Each output's directory must exist, or the stage would find out only on
-    writing that output, after it had done its work and replaced the others.
-    No two outputs may be one file: two writers on one path share one
-    temporary file, or the later output replaces the earlier one.
+
+def _check_outputs(paths, stage: str) -> None:
+    """Reject the outputs of ``stage``, named in ``paths``, that it could not all write.
+
+    Each output must name a file, not nothing or a directory, in a directory
+    that exists, or the stage would find out only on writing that output,
+    after it had done its work and replaced the others.  No two outputs may
+    be one file: two writers on one path share one temporary file, or the
+    later output replaces the earlier one.
     """
+    outputs = {name: getattr(paths, name) for name in _OUTPUTS[stage]}
     for name, path in outputs.items():
+        if not path:
+            raise FileNotFoundError(f"{name} output: the path is empty")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{name} output {path}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise FileNotFoundError(f"{name} output {path}: its directory does not exist")
     for (one, path), (other, other_path) in itertools.combinations(outputs.items(), 2):
@@ -92,8 +108,7 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
     id hash :func:`read_jsonl` keeps for its duplicate check, about 8 B per
     record.
     """
-    _distinct_outputs(retained=cfg.paths.rule_retained, rejects=cfg.paths.rule_rejects,
-                      stats=cfg.paths.rule_stats)
+    _check_outputs(cfg.paths, "rule-filter")
     ruleset = ruleset_from_config(cfg.ruleset.order, cfg.ruleset.disabled)
     modified = {r.id: 0 for r in ruleset.rules if r.kind == "transform"}
     discarded = {r.id: 0 for r in ruleset.rules if r.kind == "reject"}
@@ -153,7 +168,7 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
 
 
 def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
-    _distinct_outputs(bootstrap=cfg.paths.bootstrap)
+    _check_outputs(cfg.paths, "bootstrap")
     ruleset = ruleset_from_config(cfg.ruleset.order, (*cfg.ruleset.disabled, "interrogation"))
     stats = BootstrapStats()
     titles = (line.rstrip("\r\n") for _, line in iter_lines(cfg.paths.titles))
@@ -174,9 +189,8 @@ def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
 
 
 def run_train(cfg: PipelineConfig, quiet=False):
-    _distinct_outputs(checkpoint=cfg.paths.checkpoint, vocabulary=cfg.paths.vocabulary)
-    vae_cfg = dataclasses.replace(cfg.vae, max_len=cfg.tokenizer.max_len, seed=cfg.seed)
-    vae_cfg.validate()  # before the bootstrap is read
+    _check_outputs(cfg.paths, "train")
+    vae_cfg = cfg.model_config()  # before the bootstrap is read
     # tokenize finds [a-z0-9]+ runs, so a line's surrounding whitespace never matters
     token_lists = [tokenize(line) for _, line in iter_lines(cfg.paths.bootstrap)
                    if not line.isspace()]
@@ -272,7 +286,7 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     peaks at about 190 B per record.  Pass 2 copies each spilled line's bytes
     to the output with its score added.
     """
-    _distinct_outputs(scored=cfg.paths.scored)
+    _check_outputs(cfg.paths, "score")
     vocab = Vocabulary.load(cfg.paths.vocabulary)
     params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
     encoded = []
@@ -321,8 +335,7 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
     stage peaks at about 20 B per record with the gmm strategy, and at about
     210 B with percentile, whose sort keys each position by its (score, id).
     """
-    _distinct_outputs(retained=cfg.paths.retained, rejects=cfg.paths.semantic_rejects,
-                      report=cfg.paths.report)
+    _check_outputs(cfg.paths, "partition")
     ids = [] if cfg.threshold.strategy == "percentile" else None
     scores, missing, first_missing = array("d"), 0, None
     with spill_beside(cfg.paths.retained) as spill:
@@ -465,7 +478,9 @@ def _load_cfg(args) -> PipelineConfig:
     """The configured pipeline with every given flag applied to its field.
 
     A flag overrides the [paths] or [threshold] field named by its dest;
-    ``--disable-rule`` ids are added to [ruleset] disabled.
+    ``--disable-rule`` ids are added to [ruleset] disabled.  The settings
+    that load_config could not check alone are then checked, before any
+    stage reads input.
     """
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
@@ -476,11 +491,16 @@ def _load_cfg(args) -> PipelineConfig:
         overrides = {f.name: given[f.name] for f in dataclasses.fields(target) if f.name in given}
         setattr(cfg, section, dataclasses.replace(target, **overrides))
     cfg.ruleset.disabled += tuple(given.get("disable_rule", ()))
+    cfg.model_config()  # built only to check the seed and max_len
+    check_vocab_limits(cfg.tokenizer.max_size, cfg.tokenizer.min_count)
+    check_partition_settings(**dataclasses.asdict(cfg.threshold))
     return cfg
 
 
 def _run_all(args) -> None:
     cfg = _load_cfg(args)
+    for stage in ("rule-filter", "train", "score", "partition"):  # before any stage runs
+        _check_outputs(cfg.paths, stage)
     run_rule_filter(cfg, args.quiet)
     run_train(cfg, args.quiet)
     run_score(cfg, args.jobs, args.quiet)

@@ -58,13 +58,17 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     ruleset: RulesetConfig = field(default_factory=RulesetConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    # vocab_size, max_len and seed are placeholders: run_train sets them from
-    # the built vocabulary, [tokenizer] max_len and the pipeline seed.
+    # vocab_size, max_len and seed are placeholders: model_config sets the last
+    # two, and run_train the first from the built vocabulary.
     vae: VaeConfig = field(default_factory=lambda: VaeConfig(vocab_size=10_000))
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
 
+    def model_config(self) -> VaeConfig:
+        """[vae] with [tokenizer] max_len and the pipeline seed, checked as it is built."""
+        return replace(self.vae, max_len=self.tokenizer.max_len, seed=self.seed)
 
-# The [vae] keys a file may not set, since run_train derives them.
+
+# The [vae] keys a file may not set, since model_config and run_train derive them.
 _DERIVED = {"vae": ("vocab_size", "seed", "max_len")}
 
 
@@ -109,6 +113,9 @@ def load_config(path) -> PipelineConfig:
                 values[key] = _cast(getattr(target, key), raw)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from exc
-        target = replace(target, **values)
+        try:  # a section's dataclass may refuse a value out of its range
+            target = replace(target, **values)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from exc
         cfg = replace(cfg, **{section: target}) if section in sections else target
     return cfg

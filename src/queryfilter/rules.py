@@ -127,8 +127,9 @@ class Ruleset:
 
     def __post_init__(self):
         ids = [rule.id for rule in self.rules]
-        if len(ids) != len(set(ids)):
-            raise ValueError("rule ids must be unique")
+        for i, rule_id in enumerate(ids):
+            if rule_id in ids[:i]:
+                raise ValueError(f'rule ids must be unique: "{rule_id}" repeats')
         for rule in self.rules:
             if rule.kind not in ("transform", "reject"):
                 raise ValueError(f'rule "{rule.id}": unknown kind "{rule.kind}"')
@@ -169,12 +170,11 @@ def ruleset_from_config(order: Iterable[str], disabled: Iterable[str] = ()) -> R
     if unknown:
         raise ValueError(f"unknown rule ids: {sorted(unknown)}")
     order = tuple(order)
-    if len(set(order)) != len(order):
-        raise ValueError("rule ids must be unique")
     for rule_id in order:
         if rule_id not in _BUILTIN_BY_ID:
             raise ValueError(f'unknown rule id "{rule_id}"')
-    return Ruleset(tuple(_BUILTIN_BY_ID[i] for i in order if i not in disabled_set))
+    rules = Ruleset(tuple(_BUILTIN_BY_ID[i] for i in order)).rules  # refuses a repeated id
+    return Ruleset(tuple(rule for rule in rules if rule.id not in disabled_set))
 
 
 def register_rule(ruleset: Ruleset, rule_id: str, kind: str, fn: Callable) -> Ruleset:
@@ -185,8 +185,6 @@ def register_rule(ruleset: Ruleset, rule_id: str, kind: str, fn: Callable) -> Ru
     side of keeping valid queries, and not duplicate an existing rule's
     matches; none of that is enforced here.
     """
-    if rule_id in ruleset.rule_ids():
-        raise ValueError(f'rule id "{rule_id}" already registered')
     new_rule = Rule(rule_id, kind, fn)
     rules = list(ruleset.rules)
     if kind == "transform":

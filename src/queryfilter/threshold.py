@@ -89,10 +89,7 @@ def fit_em_gmm(
     leaves of numpy's pairwise summation, so every sum equals ``np.sum``
     over the whole array.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    check_partition_settings("gmm", max_iter=max_iter, tol=tol)
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 10:
         raise ValueError(
@@ -274,8 +271,7 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
     ``max_iter`` must be at least 1 and every loss finite; otherwise
     :class:`ValueError`.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_partition_settings("kmeans2", max_iter=max_iter)
     x = np.asarray(losses, dtype=np.float64)
     if x.size == 0:
         raise ValueError("kmeans needs at least one sample")
@@ -289,6 +285,23 @@ def kmeans_two(losses: Sequence[float], max_iter: int = 200):
             break
         c_low, c_high = new_low, new_high
     return c_low, c_high
+
+
+def check_partition_settings(strategy: str, p: float | None = None, max_iter: int = 200,
+                             tol: float = 1e-8) -> None:
+    """Raise ``ValueError`` on settings that :func:`partition` refuses whatever the losses.
+
+    Only ``percentile`` reads ``p``, ``gmm`` and ``kmeans2`` ``max_iter``, and ``gmm`` ``tol``.
+    """
+    if strategy not in ("gmm", "percentile", "kmeans2"):
+        raise ValueError(f'unknown partition strategy "{strategy}"')
+    if strategy == "percentile":
+        if p is None or not 0.0 < p <= 1.0:
+            raise ValueError("percentile strategy needs p in (0, 1]")
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if strategy == "gmm" and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def partition(
@@ -310,6 +323,7 @@ def partition(
     Returns ``(keep, report)``: a bool mask, True at each retained input
     position, and a report of the strategy parameters and counts.
     """
+    check_partition_settings(strategy, p, max_iter, tol)
     n = len(losses)
     if ids is not None and len(ids) != n:
         raise ValueError("ids and losses differ in length")
@@ -335,8 +349,6 @@ def partition(
             converged=fit.converged,
         )
     elif strategy == "percentile":
-        if p is None or not 0.0 < p <= 1.0:
-            raise ValueError("percentile strategy needs p in (0, 1]")
         if ids is None:
             raise ValueError("the percentile strategy breaks ties by id and needs the ids")
         keep_count = int(math.floor(p * n))
@@ -345,13 +357,11 @@ def partition(
         keep_mask[by_loss[:keep_count]] = True
         boundary = losses[by_loss[keep_count - 1]] if keep_count else None
         report.update(p=p, boundary_loss=None if boundary is None else float(boundary))
-    elif strategy == "kmeans2":
+    else:  # kmeans2
         c_low, c_high = kmeans_two(losses, max_iter=max_iter)
         boundary = 0.5 * (c_low + c_high)
         keep_mask = losses <= boundary
         report.update(threshold=boundary, center_low=c_low, center_high=c_high)
-    else:
-        raise ValueError(f'unknown partition strategy "{strategy}"')
 
     n_retained = int(np.count_nonzero(keep_mask))
     report["n_retained"] = n_retained

@@ -44,7 +44,10 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class VaeConfig:
-    """Model and optimizer hyperparameters; everything stochastic keys off ``seed``."""
+    """Model and optimizer hyperparameters; everything stochastic keys off ``seed``.
+
+    Building one raises ``TypeError`` on a wrongly typed field, ``ValueError`` on one out of range.
+    """
 
     vocab_size: int
     embed_dim: int = 128
@@ -57,7 +60,11 @@ class VaeConfig:
     kl_anneal_steps: int = 2000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            kind = type(getattr(self, f.name))  # a bool is not an int here
+            if kind is not int and not (kind is float and f.type == "float"):
+                raise TypeError(f"config field {f.name!r} must be {f.type}")
         for name in ("vocab_size", "embed_dim", "hidden_dim", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -148,7 +155,6 @@ def named_tensors(params: VaeParams) -> list[tuple[str, np.ndarray]]:
 
 def empty_params(config: VaeConfig) -> VaeParams:
     """Uninitialized tensors of the shapes ``config`` sets, for a loader to fill."""
-    config.validate()
     v, e, h, k = config.vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
 
     def gru(in_dim: int) -> GruWeights:
@@ -559,7 +565,6 @@ def train(
     memory does not grow with ``batch_size``.  Raises
     :class:`TrainingError` on an empty corpus or a non-finite loss.
     """
-    config.validate()
     if not sequences:
         raise TrainingError("training corpus is empty")
     canonical = sorted(tuple(int(i) for i in seq) for seq in sequences)

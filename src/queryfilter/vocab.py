@@ -80,6 +80,14 @@ class Vocabulary:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def check_vocab_limits(max_size: int, min_count: int) -> None:
+    """Raise ``ValueError`` on limits that :func:`build_vocab` refuses whatever the corpus."""
+    if max_size < 5:
+        raise ValueError("max_size must be at least 5")
+    if min_count < 1:
+        raise ValueError("min_count must be at least 1")
+
+
 def build_vocab(
     corpus: Iterable[Sequence[str]], max_size: int = 10_000, min_count: int = 2
 ) -> Vocabulary:
@@ -89,10 +97,7 @@ def build_vocab(
     tokens below ``min_count`` are dropped, then the top ``max_size - 4`` fill
     the ids after the specials.  Deterministic for a given corpus.
     """
-    if max_size < 5:
-        raise ValueError("max_size must be at least 5")
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
+    check_vocab_limits(max_size, min_count)
     counts: dict[str, int] = {}
     for tokens in corpus:
         for token in tokens:

@@ -167,6 +167,15 @@ kl_anneal_steps = 100
 
 
 class TestRuleFilterCommand:
+    @pytest.mark.parametrize("disabled", ["", "urls"])
+    def test_repeated_rule_id_in_order_exits_1_naming_it(self, tmp_path, capsys, disabled):
+        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
+        cfg = small_config(tmp_path, extra="[ruleset]\norder = urls, html_tags, urls\n"
+                                            f"disabled = {disabled}\n")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == 'error: rule ids must be unique: "urls" repeats\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "pipeline.ini"]
+
     def test_table_examples(self, tmp_path):
         write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
         cfg = small_config(tmp_path)
@@ -547,6 +556,19 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("setting, bad, message", [
+        ("max_size = 200", "max_size = 3", "max_size must be at least 5"),
+        ("min_count = 1", "min_count = 0", "min_count must be at least 1"),
+    ])
+    def test_bad_tokenizer_limit_exits_1_before_the_bootstrap_is_read(
+            self, tmp_path, capsys, setting, bad, message):
+        (tmp_path / "bootstrap.txt").write_bytes(b"\xff convert string to int\n")
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(setting, bad))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bootstrap.txt", "pipeline.ini"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on the way
     def test_diverging_loss_exits_3_naming_the_step(self, tmp_path, capsys):
         (tmp_path / "bootstrap.txt").write_text("convert string to int\nread a file\n",
@@ -905,6 +927,27 @@ class TestScoreCommand:
 
 
 class TestPartitionCommand:
+    @pytest.mark.parametrize("extra, flags, message", [
+        ("", ["--strategy", "percentile", "--p", "2"], "percentile strategy needs p in (0, 1]"),
+        ("", ["--strategy", "percentile", "--p", "0"], "percentile strategy needs p in (0, 1]"),
+        ("strategy = median", [], 'unknown partition strategy "median"'),
+        ("max_iter = 0", ["--strategy", "kmeans2"], "max_iter must be at least 1, got 0"),
+        ("tol = nan", [], "tol must be a finite number >= 0, got nan"),
+    ])
+    def test_bad_threshold_setting_exits_1_before_the_input_is_read(
+            self, tmp_path, capsys, extra, flags, message):
+        (tmp_path / "scored.jsonl").write_text('{"id": "s0", "comment": \n', encoding="utf-8")
+        cfg = small_config(tmp_path, extra=f"[threshold]\n{extra}\n")
+        assert main(["partition", "--config", str(cfg), "--quiet", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini", "scored.jsonl"]
+
+    def test_a_flag_applies_before_the_settings_are_checked(self, tmp_path):
+        write_scored(tmp_path / "scored.jsonl", 30)
+        cfg = small_config(tmp_path, extra="[threshold]\nstrategy = percentile\np = 2\n")
+        assert main(["partition", "--config", str(cfg), "--quiet", "--p", "0.5"]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["n_retained"] == 15
+
     def test_missing_scores_exit_5(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
         assert main(["partition", "--config", str(cfg), "--quiet",
@@ -1114,26 +1157,96 @@ STAGE_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
-                                           STAGE_OUTPUTS.items() for flag in flags])
-def test_output_in_a_missing_directory_exits_2_before_any_output(trained_pipeline, capsys,
-                                                                 command, flag):
+def every_file(tmp_path):
+    """Each path under ``tmp_path`` with its bytes, or None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+
+def refused_output(trained_pipeline, capsys, command, flag, path) -> str:
+    """Run ``command`` with ``flag`` naming ``path``: require exit 2 and no file changed.
+
+    Returns the error line, less its ``error:`` prefix.
+    """
     tmp_path, cfg = trained_pipeline
     assert main(["score", "--config", str(cfg), "--quiet"]) == 0
     assert main(["partition", "--config", str(cfg), "--quiet"]) == 0
     for other, name in STAGE_OUTPUTS[command].items():
         if other != flag:  # so that a rewrite with the same bytes would show too
             (tmp_path / name).write_bytes(b"an earlier output\n")
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
-    missing = str(tmp_path / "absent" / STAGE_OUTPUTS[command][flag])
-    assert main([command, "--config", str(cfg), "--quiet", flag, missing]) == 2
+    before = every_file(tmp_path)
+    assert main([command, "--config", str(cfg), "--quiet", flag, path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(
+    assert every_file(tmp_path) == before
+    assert err.startswith("error: ")
+    return err[len("error: "):]
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           STAGE_OUTPUTS.items() for flag in flags])
+def test_output_in_a_missing_directory_exits_2_before_any_output(trained_pipeline, capsys,
+                                                                 command, flag):
+    missing = str(trained_pipeline[0] / "absent" / STAGE_OUTPUTS[command][flag])
+    assert refused_output(trained_pipeline, capsys, command, flag, missing).endswith(
         f" output {missing}: its directory does not exist\n")
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           STAGE_OUTPUTS.items() for flag in flags])
+def test_output_naming_a_directory_exits_2_before_any_output(trained_pipeline, capsys,
+                                                             command, flag):
+    directory = trained_pipeline[0] / "outdir"
+    directory.mkdir()
+    assert refused_output(trained_pipeline, capsys, command, flag, str(directory)).endswith(
+        f" output {directory}: is a directory\n")
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           STAGE_OUTPUTS.items() for flag in flags])
+def test_empty_output_path_exits_2_before_any_output(trained_pipeline, capsys, command, flag):
+    assert refused_output(trained_pipeline, capsys, command, flag, "").endswith(
+        " output: the path is empty\n")
+
+
+# Every file that run writes, by its [paths] key in small_config.
+RUN_OUTPUTS = {"rule_retained": "rule_retained.jsonl", "rule_rejects": "rule_rejects.jsonl",
+               "rule_stats": "rule_stats.json", "checkpoint": "model.ckpt",
+               "vocabulary": "vocab.txt", "scored": "scored.jsonl", "retained": "retained.jsonl",
+               "semantic_rejects": "semantic_rejects.jsonl", "report": "report.json"}
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("key", RUN_OUTPUTS)
+    def test_output_in_a_missing_directory_exits_2_before_the_first_stage(
+            self, trained_pipeline, capsys, key):
+        tmp_path, cfg = trained_pipeline
+        for name in RUN_OUTPUTS.values():  # so that a rewrite with the same bytes would show too
+            (tmp_path / name).write_bytes(b"an earlier output\n")
+        missing = f"{tmp_path}/absent/{RUN_OUTPUTS[key]}"
+        cfg.write_text(cfg.read_text().replace(f"\n{key} = {tmp_path}/",
+                                               f"\n{key} = {tmp_path}/absent/"))
+        before = every_file(tmp_path)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} output {missing}: its directory does not exist\n")
+        assert every_file(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["rule-filter", "run"])
+    @pytest.mark.parametrize("setting, bad, flags, message", [
+        ("epochs = 2", "epochs = 0", [], "[vae] epochs must be >= 1"),
+        ("max_len = 12", "max_len = 2", [], "max_len must be >= 3"),
+        ("", "", ["--seed", "-5"], "seed must be >= 0"),
+    ], ids=["vae_epochs", "tokenizer_max_len", "seed_flag"])
+    def test_bad_setting_exits_1_before_any_stage(self, trained_pipeline, capsys, command,
+                                                  setting, bad, flags, message):
+        tmp_path, cfg = trained_pipeline
+        for name in RUN_OUTPUTS.values():
+            (tmp_path / name).write_bytes(b"an earlier output\n")
+        cfg.write_text(cfg.read_text().replace(setting, bad))
+        before = every_file(tmp_path)
+        assert main([command, "--config", str(cfg), "--quiet", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert every_file(tmp_path) == before
+
     def test_every_record_lands_in_exactly_one_bucket(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0

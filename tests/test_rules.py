@@ -168,7 +168,7 @@ class TestRulesetFromConfig:
             ruleset_from_config(DEFAULT_RULE_ORDER, {"urls", "nonsense"})
 
     def test_repeated_order_id_rejected_even_when_disabled(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match='^rule ids must be unique: "urls" repeats$'):
             ruleset_from_config(("urls", "parentheses", "urls"), {"urls"})
 
 
@@ -181,7 +181,7 @@ class TestRegisterRule:
         assert apply_ruleset(rs2, "fix this TODO before release").rule_id == "contains_todo"
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(ValueError, match="urls"):
+        with pytest.raises(ValueError, match='^rule ids must be unique: "urls" repeats$'):
             register_rule(default_ruleset(), "urls", "reject", lambda t: False)
 
     def test_transform_inserted_before_rejects_and_ordering_observed(self):

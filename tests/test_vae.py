@@ -364,6 +364,52 @@ class TestBatchedScoring:
         assert isinstance(scores, np.ndarray) and scores.shape == (0,)
 
 
+class TestConfig:
+    """A VaeConfig checks its fields when built, whether by its constructor or by replace."""
+
+    BUILDERS = {"constructor": lambda **fields: tiny_config(**fields),
+                "replace": lambda **fields: replace(tiny_config(), **fields)}
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("key, value, message", [
+        ("vocab_size", 0, "vocab_size must be >= 1"),
+        ("embed_dim", 0, "embed_dim must be >= 1"),
+        ("hidden_dim", -1, "hidden_dim must be >= 1"),
+        ("latent_dim", 0, "latent_dim must be >= 1"),
+        ("max_len", 2, "max_len must be >= 3"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("learning_rate", 0.0, "learning_rate must be a finite positive number"),
+        ("learning_rate", -1e-3, "learning_rate must be a finite positive number"),
+        ("learning_rate", math.nan, "learning_rate must be a finite positive number"),
+        ("learning_rate", math.inf, "learning_rate must be a finite positive number"),
+        ("kl_anneal_steps", -1, "kl_anneal_steps must be >= 0"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_out_of_range_value_raises_value_error(self, build, key, value, message):
+        with pytest.raises(ValueError) as raised:
+            self.BUILDERS[build](**{key: value})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("key, value, expected", [
+        ("vocab_size", 9.0, "int"), ("embed_dim", "4", "int"), ("hidden_dim", True, "int"),
+        ("latent_dim", None, "int"), ("max_len", np.int64(8), "int"), ("epochs", 3.5, "int"),
+        ("batch_size", [2], "int"), ("learning_rate", "0.1", "float"),
+        ("learning_rate", np.float64(0.1), "float"), ("learning_rate", False, "float"),
+        ("kl_anneal_steps", 2000.0, "int"), ("seed", "11", "int"),
+    ])
+    def test_wrongly_typed_value_raises_type_error(self, build, key, value, expected):
+        with pytest.raises(TypeError) as raised:
+            self.BUILDERS[build](**{key: value})
+        assert str(raised.value) == f"config field '{key}' must be {expected}"
+
+    def test_the_bounds_themselves_are_accepted(self):
+        cfg = tiny_config(vocab_size=1, embed_dim=1, hidden_dim=1, latent_dim=1, max_len=3,
+                          epochs=1, batch_size=1, learning_rate=1, kl_anneal_steps=0, seed=0)
+        assert replace(cfg, learning_rate=5e-324).learning_rate == 5e-324
+
+
 class TestCheckpoint:
     def _roundtrip_setup(self, tmp_path):
         cfg = tiny_config(seed=21)
