@@ -3,14 +3,17 @@
 Layout: magic "QDVA", little-endian u32 version, u32 header length, a JSON
 header (config, vocabulary hash, tensor manifest), then the raw tensor
 payload as little-endian float64 in manifest order.  Loading verifies the
-magic, version, payload size and, when a vocabulary hash is supplied, that
-the checkpoint was trained against the same vocabulary.
+magic, version, sizes, tensor layout and, when a vocabulary hash is supplied,
+that the checkpoint was trained against the same vocabulary.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -46,61 +49,58 @@ def save_checkpoint(params: VaeParams, config: VaeConfig, vocab_hash: str, path)
 def load_checkpoint(path, expected_vocab_hash: str | None = None):
     """Read a checkpoint; returns (params, config).
 
-    Raises :class:`CheckpointError` on a bad magic/version, a truncated file,
-    a header without its config, vocabulary hash or tensors, a config with an
-    unknown key or a wrongly typed or invalid value, a manifest that is not a
-    list of ``[name, shape]`` pairs, or (when ``expected_vocab_hash`` is given)
-    a model/vocabulary mismatch.
+    Reads the file once, front to back: head, JSON header, then each tensor
+    straight into the arrays of :func:`empty_params`.  The sizes are checked
+    against the file's, and the vocabulary hash against ``expected_vocab_hash``
+    if given, before the model is allocated.  Raises :class:`CheckpointError`
+    on a bad magic or version, a truncated file or trailing bytes, a header
+    without its config, vocabulary hash or tensors, an invalid config, a
+    manifest other than the model's ``[name, shape]`` pairs, a model too large
+    to allocate, or a model/vocabulary mismatch.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    if len(blob) < 12 + header_len:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
-    try:
-        config = VaeConfig(**header["config"])
-        stored_hash = header["vocab_hash"]
-        manifest = header["tensors"]
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:  # VaeConfig refuses a wrong type or value
-        raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
-    if not isinstance(manifest, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
-        for entry in manifest
-    ):
-        raise CheckpointError(f"{path}: tensor manifest must be a list of [name, shape] pairs")
-    if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
-        raise CheckpointError(f"{path}: model/vocabulary mismatch")
-
-    params = empty_params(config)
-    current = {name: t for name, t in named_tensors(params)}
-    expected_names = list(current.keys())
-    if [name for name, _ in manifest] != expected_names:
-        raise CheckpointError(f"{path}: tensor manifest does not match model layout")
-
-    payload = memoryview(blob)
-    offset = 12 + header_len
-    for name, shape in manifest:
-        tensor = current[name]
-        if list(tensor.shape) != list(shape):
-            raise CheckpointError(f"{path}: tensor {name} has unexpected shape {shape}")
-        nbytes = tensor.size * 8
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated tensor payload at {name}")
-        tensor[...] = np.frombuffer(chunk, dtype="<f8").reshape(tensor.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
+        version, header_len = struct.unpack("<II", head[4:])
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if 12 + header_len > size:
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
+        try:
+            config = VaeConfig(**header["config"])
+            stored_hash = header["vocab_hash"]
+            manifest = header["tensors"]
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:  # VaeConfig refuses a wrong type or value
+            raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
+        if expected_vocab_hash is not None and stored_hash != expected_vocab_hash:
+            raise CheckpointError(f"{path}: model/vocabulary mismatch")
+        layout = f"{path}: tensor manifest must be the [name, shape] pairs of the config's model"
+        try:
+            declared = sum(8 * math.prod(shape) for _, shape in manifest)
+        except (TypeError, ValueError):
+            raise CheckpointError(layout) from None
+        if 12 + header_len + declared > size:
+            raise CheckpointError(f"{path}: truncated tensor payload of {declared} bytes")
+        try:
+            params = empty_params(config)
+        except (MemoryError, ValueError) as exc:  # ValueError: too large for numpy to index
+            raise CheckpointError(f"{path}: cannot allocate the header's model: {exc}") from None
+        tensors = named_tensors(params)
+        if manifest != [[name, list(t.shape)] for name, t in tensors]:
+            raise CheckpointError(layout)
+        for name, tensor in tensors:
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise CheckpointError(f"{path}: truncated tensor payload at {name}")
+            if sys.byteorder == "big":  # the payload is little-endian
+                tensor.byteswap(inplace=True)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     return params, config
-

@@ -238,17 +238,18 @@ def _score_in_processes(params, encoded: list, jobs: int) -> np.ndarray:
     """Score ``encoded`` in ``jobs`` processes: this one and ``jobs - 1`` workers.
 
     Share i is ``encoded[i::jobs]``; this process scores share 0 while the
-    workers, each with a one-way pipe back, score the rest.  A score depends
-    only on its record's ids, so the split changes no score.  A worker's
-    exception is raised here; a worker that dies before it sends raises
+    workers, each with a one-way pipe back, score the rest, so at ``jobs`` 1
+    it scores every record and starts no worker.  A score depends only on
+    its record's ids, so the split changes no score.  A worker's exception
+    is raised here; a worker that dies before it sends raises
     :class:`WorkerError`.  Workers still running on the way out are ended.
     """
-    import multiprocessing  # ~0.7 MB that only workers need
-
     scores = np.empty(len(encoded))
     workers = []
     try:
         for i in range(1, jobs):
+            import multiprocessing  # ~0.7 MB that only workers need
+
             receiver, sender = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(target=_score_share,
                                              args=(sender, params, encoded[i::jobs]))
@@ -276,15 +277,33 @@ def _score_in_processes(params, encoded: list, jobs: int) -> np.ndarray:
     return scores
 
 
+def _keep_freed_heap() -> None:
+    """Let each score group reuse the heap that the group before it freed.
+
+    Under glibc's default thresholds each group maps its several MB of arrays
+    afresh (28,000 page faults, a quarter of the scoring time on
+    ``model-default``).  These are the ceilings of glibc's own dynamic rule.
+    A C library without ``mallopt`` is left as it is.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     """Attach a reconstruction-loss score to every record, reading them once.
 
     Pass 1 keeps each record's encoded comment as an ``array('i')`` (4 B per
     token plus about 64 B) and spills the record's :func:`record_line`, all
     but the score, to an unnamed file beside the output (:func:`spill_beside`).
-    It then scores them all, so length groups span the whole file; the stage
-    peaks at about 190 B per record.  Pass 2 copies each spilled line's bytes
-    to the output with its score added.
+    It then scores them all, so at ``jobs`` 1 length groups span the whole
+    file; the stage peaks at about 206 B per record.  Pass 2 copies each
+    spilled line's bytes to the output with its score added.
     """
     _check_outputs(cfg.paths, "score")
     vocab = Vocabulary.load(cfg.paths.vocabulary)
@@ -300,11 +319,9 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
         if empty:
             _diag(quiet, f"score: {empty} records encode to BOS/EOS only (empty comment)")
 
-        jobs = min(jobs, len(encoded))  # a process with no records would idle
-        if jobs <= 1:
-            scores = reconstruction_loss(params, encoded)
-        else:
-            scores = _score_in_processes(params, encoded, jobs)
+        _keep_freed_heap()
+        # A process with no records would idle.
+        scores = _score_in_processes(params, encoded, max(1, min(jobs, len(encoded))))
         del encoded  # pass 2 needs only the scores
 
         spill.seek(0)

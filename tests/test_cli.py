@@ -729,6 +729,25 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
         assert "[name, shape] pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("embed_dim", 10**9), ("hidden_dim", 300_000)])
+    def test_header_claiming_too_large_a_model_exits_4(self, trained_pipeline, capsys, key,
+                                                       value):
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        ckpt = tmp_path / "model.ckpt"
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header["config"][key] = value
+        raw = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        capsys.readouterr()
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
+
     def test_empty_comment_scores_finite_and_is_flagged(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
         write_pairs(tmp_path / "edge.jsonl", [("e1", ""), ("e2", "read the csv records")])

@@ -26,7 +26,8 @@ CODE = "public static int parse(String text) { return Integer.parseInt(text.trim
 
 # Measured per extra record: rule-filter 8 B (one id hash), partition 16 B
 # (scores, keep mask and the EM fit's transient copy of the scores for its
-# quartiles) and score 190 B (encoded comments); each stage spills its output
+# quartiles) and score 206 B (encoded comments, and the share list and scores
+# of its one scoring path); each stage spills its output
 # lines to a file, not to memory.  With N = 500 for every stage, a stage that
 # keeps every Record grows by 814, 747 and 734 B, a rule-filter that keeps a
 # set of every id by 124 B, a partition that keeps its ids as a list of str by

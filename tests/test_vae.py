@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from queryfilter import checkpoint
 from queryfilter.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -502,6 +505,87 @@ class TestCheckpoint:
         self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "hidden_dim": 0}})
         with pytest.raises(CheckpointError, match="hidden_dim must be >= 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: [["embeddings", m[0][1]], *m[1:]],
+        lambda m: [["embedding", m[0][1][::-1]], *m[1:]],
+        lambda m: [["embedding", [m[0][1][0] + 1, m[0][1][1]]], *m[1:]],
+        lambda m: [*m, ["extra", [1]]],
+        lambda m: m[:-1],
+    ], ids=["wrong-name", "transposed-shape", "larger-shape", "extra-entry", "missing-entry"])
+    def test_manifest_unlike_the_model_rejected(self, tmp_path, edit):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "tensors": edit(h["tensors"])})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: .*tensor"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CheckpointError, match="trailing bytes after tensor payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kept", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                             ids=["none", "one-byte", "half", "all-but-one-byte"])
+    def test_truncation_inside_the_header_rejected(self, tmp_path, kept):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        path.write_bytes(blob[: 12 + kept(header_len)])
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+    def test_truncation_at_each_tensor_boundary_rejected(self, tmp_path):
+        params, _, path = self._roundtrip_setup(tmp_path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        end = 12 + header_len
+        for _, tensor in named_tensors(params):
+            path.write_bytes(blob[:end])
+            with pytest.raises(CheckpointError, match="truncated tensor payload"):
+                load_checkpoint(path)
+            end += tensor.nbytes
+        assert end == len(blob)
+
+    @pytest.mark.parametrize("key, value", [("embed_dim", 10**9), ("hidden_dim", 300_000),
+                                            ("vocab_size", 10**20)])
+    def test_header_claiming_a_larger_model_than_the_file_holds_rejected(self, tmp_path, key,
+                                                                        value):
+        # Terabytes of float64: a load must refuse the header, not ask numpy for them.
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_header_and_manifest_claiming_more_than_the_file_rejected_before_allocating(
+            self, tmp_path, monkeypatch):
+        _, cfg, path = self._roundtrip_setup(tmp_path)
+        big = replace(cfg, embed_dim=1000)
+        manifest = [[name, list(t.shape)] for name, t in named_tensors(init_params(big))]
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "embed_dim": 1000},
+                                              "tensors": manifest})
+
+        def no_allocation(config):
+            raise AssertionError("load_checkpoint allocated the model")
+
+        monkeypatch.setattr(checkpoint, "empty_params", no_allocation)
+        with pytest.raises(CheckpointError, match="truncated tensor payload"):
+            load_checkpoint(path)
+
+    def test_loading_holds_about_one_copy_of_the_model(self, tmp_path):
+        cfg = VaeConfig(vocab_size=2000, embed_dim=128, hidden_dim=256, latent_dim=64, seed=4)
+        params = init_params(cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, "hash-of-vocab", path)
+        model_bytes = sum(t.nbytes for _, t in named_tensors(params))
+        del params
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model_bytes, f"{peak / model_bytes:.2f} x the model's bytes"
 
     def test_loading_draws_no_random_numbers_and_is_bit_identical(self, tmp_path, monkeypatch):
         # The model-default workload's dims; the weights differ from any seeded init.
