@@ -3,8 +3,8 @@
 Stage outputs are always written to disk so a pipeline can resume per stage;
 diagnostics go to stderr, data to the configured files.  Exit codes: 0 on
 success, 2 for I/O problems, 3 when training failed (an empty corpus or a
-non-finite loss), 4 for a checkpoint/vocabulary mismatch, 5 for missing
-scores, 1 otherwise.
+non-finite loss), 4 for a bad checkpoint, 5 for missing scores, 1
+otherwise.
 
 The record stages stream: no stage holds its records.  What each keeps that
 grows with the corpus is named in its docstring, with its size per record
@@ -45,7 +45,7 @@ from .metrics import answered_at_k, mrr, read_rank_file, sample_size
 from .rules import apply_ruleset, ruleset_from_config
 from .threshold import check_partition_settings, partition
 from .vae import TrainingError, reconstruction_loss, train
-from .vocab import Vocabulary, build_vocab, check_vocab_limits, tokenize
+from .vocab import build_vocab, check_vocab_limits, tokenize
 
 class MissingScoreError(RuntimeError):
     pass
@@ -208,7 +208,7 @@ def run_train(cfg: PipelineConfig, quiet=False):
 
     params, trace = train(sequences, vae_cfg, progress=progress)
     vocab.save(cfg.paths.vocabulary)
-    save_checkpoint(params, vae_cfg, vocab.content_hash(), cfg.paths.checkpoint)
+    save_checkpoint(params, vae_cfg, vocab, cfg.paths.checkpoint)
     return trace
 
 
@@ -306,8 +306,7 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     spilled line's bytes to the output with its score added.
     """
     _check_outputs(cfg.paths, "score")
-    vocab = Vocabulary.load(cfg.paths.vocabulary)
-    params, vae_cfg = load_checkpoint(cfg.paths.checkpoint, vocab.content_hash())
+    params, vae_cfg, vocab = load_checkpoint(cfg.paths.checkpoint)
     encoded = []
     with spill_beside(cfg.paths.scored) as spill:
         for record in read_jsonl(cfg.paths.rule_retained):
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, "processes that score: this one and N - 1 workers")
     p.add_argument("--input", dest="rule_retained")
     p.add_argument("--checkpoint")
-    p.add_argument("--vocabulary")
     p.add_argument("--output", dest="scored")
 
     p = sub.add_parser("partition", help="split scored records into retained/rejected")

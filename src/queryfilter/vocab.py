@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .atomic import atomic_open
-from .corpus import iter_lines
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -32,9 +31,9 @@ class Vocabulary:
         token_to_id: dict[str, int] = {}
         for i, token in enumerate(self.id_to_token):
             first = token_to_id.setdefault(token, i)
-            if first != i:  # ids count from 0, lines of the serialized form from 1
-                raise ValueError(f'vocabulary tokens must be unique: "{token}" on line {i + 1} '
-                                 f"repeats line {first + 1}")
+            if first != i:
+                raise ValueError(f'vocabulary tokens must be unique: "{token}" at id {i} '
+                                 f"repeats id {first}")
         object.__setattr__(self, "_token_to_id", token_to_id)
 
     @property
@@ -54,30 +53,13 @@ class Vocabulary:
         body = [self.id_of(t) for t in tokens[: max_len - 2]]
         return [BOS] + body + [EOS]
 
-    def serialize(self) -> str:
-        return "\n".join(self.id_to_token) + "\n"
-
-    def content_hash(self) -> str:
-        """SHA-256 of the serialized vocabulary; binds checkpoints to vocabularies."""
-        import hashlib  # loads OpenSSL (~3.6 MB), which only train and score need
-
-        return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
-
     def save(self, path) -> None:
-        with atomic_open(path) as fh:
-            fh.write(self.serialize())
+        """Write one token per line, line i + 1 holding id i: a listing for people.
 
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        """Read one token per line; a line that is not UTF-8 raises ``CorpusError`` naming it.
-
-        A file that is not a vocabulary raises ``ValueError`` naming ``path``.
+        The checkpoint holds the vocabulary that scoring reads.
         """
-        tokens = tuple(line.rstrip("\r\n") for _, line in iter_lines(path))
-        try:
-            return cls(tokens)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        with atomic_open(path) as fh:
+            fh.write("\n".join(self.id_to_token) + "\n")
 
 
 def check_vocab_limits(max_size: int, min_count: int) -> None:

@@ -457,6 +457,16 @@ def trained_pipeline(tmp_path):
     return tmp_path, cfg
 
 
+def rewrite_header(ckpt, edit):
+    """Replace the checkpoint's JSON header with ``edit(header)``; returns the new header."""
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = edit(json.loads(blob[12 : 12 + header_len]))
+    raw = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+    return header
+
+
 def stage_env():
     """The environment for a child interpreter that imports this queryfilter."""
     src = os.path.dirname(os.path.dirname(queryfilter.__file__))
@@ -497,9 +507,9 @@ def run_through_fifo(data, argv):
         fifo.unlink()
 
 
-# Runs one CLI command in this interpreter, then prints which of the modules
-# that only train and score, and score's workers, need it loaded, and whether it
-# loaded multiprocessing.pool or numpy.ma, which no stage needs.
+# Runs one CLI command in this interpreter, then prints which it loaded of
+# hashlib and _hashlib (OpenSSL), multiprocessing, which only score's workers
+# need, and multiprocessing.pool and numpy.ma, which no stage needs.
 _IMPORT_PROBE = """
 import sys
 from queryfilter.cli import main
@@ -548,11 +558,9 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
         done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--config", str(cfg),
                                "--quiet"], env=env, capture_output=True, text=True, check=True)
         loaded[name] = done.stdout.split()
-    # train and score hash the vocabulary; that train shows it proves the probe sees it.
-    hashed = ["hashlib", "_hashlib"]
-    assert loaded == {**{name: [] for name in commands}, "train": hashed,
-                      "score --jobs 1": hashed, "score --jobs 2": [*hashed, "multiprocessing"],
-                      "score --jobs 3, one record": hashed}
+    # Only train's numpy.random loads OpenSSL; that train shows it proves the probe sees it.
+    assert loaded == {**{name: [] for name in commands}, "train": ["hashlib", "_hashlib"],
+                      "score --jobs 2": ["multiprocessing"]}
 
 
 class TestTrainCommand:
@@ -642,8 +650,7 @@ class TestTrainCommand:
         tmp_path, cfg = trained_pipeline  # [tokenizer] max_len = 12, [pipeline] seed = 7
 
         def saved_config():
-            vocab = Vocabulary.load(tmp_path / "vocab.txt")
-            return load_checkpoint(tmp_path / "model.ckpt", vocab.content_hash())[1]
+            return load_checkpoint(tmp_path / "model.ckpt")[1]
 
         assert (saved_config().max_len, saved_config().seed) == (12, 7)
         assert main(["train", "--config", str(cfg), "--quiet", "--seed", "5"]) == 0
@@ -672,42 +679,38 @@ class TestScoreCommand:
         main(["score", "--config", str(cfg), "--quiet"])
         assert (tmp_path / "scored.jsonl").read_bytes() == first
 
-    def test_invalid_utf8_vocabulary_exits_2_naming_the_line(self, trained_pipeline, capsys):
+    def test_score_reads_the_vocabulary_from_the_checkpoint_alone(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
-        n = len((tmp_path / "vocab.txt").read_bytes().splitlines())
-        with open(tmp_path / "vocab.txt", "ab") as fh:
-            fh.write(b"x\xff\n")
-        assert main(["score", "--config", str(cfg), "--quiet"]) == 2
-        assert f"line {n + 1}: not valid UTF-8" in capsys.readouterr().err
-        assert not (tmp_path / "scored.jsonl").exists()
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        (tmp_path / "vocab.txt").unlink()
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
 
-    def test_repeated_vocabulary_token_exits_1_naming_the_file_token_and_lines(
-            self, trained_pipeline, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: [*v, v[5]], lambda v: f'vocabulary tokens must be unique: "{v[5]}" at id '
+                                         f"{len(v) - 1} repeats id 5"),
+        (lambda v: [*v[4:], *v[:4]],
+         lambda v: "vocabulary must start with the reserved special tokens"),
+        (lambda v: [*v[:4], 5], lambda v: "vocabulary must be a list of strings"),
+    ], ids=["repeated-token", "reserved-tokens-last", "non-string-token"])
+    def test_malformed_checkpoint_vocabulary_exits_4_naming_the_file(
+            self, trained_pipeline, capsys, edit, message):
         tmp_path, cfg = trained_pipeline
-        vocab = tmp_path / "vocab.txt"
-        lines = vocab.read_text(encoding="utf-8").splitlines()
-        vocab.write_text("\n".join(lines + [lines[5]]) + "\n", encoding="utf-8")
-        assert main(["score", "--config", str(cfg), "--quiet"]) == 1
-        assert capsys.readouterr().err == (
-            f'error: {vocab}: vocabulary tokens must be unique: "{lines[5]}" on line '
-            f"{len(lines) + 1} repeats line 6\n")
-        assert not (tmp_path / "scored.jsonl").exists()
-
-    def test_file_without_the_reserved_tokens_first_exits_1_naming_it(self, trained_pipeline,
-                                                                     capsys):
-        tmp_path, cfg = trained_pipeline
-        bootstrap = str(tmp_path / "bootstrap.txt")
-        assert main(["score", "--config", str(cfg), "--quiet", "--vocabulary", bootstrap]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {bootstrap}: vocabulary must start with the reserved special tokens\n")
-        assert not (tmp_path / "scored.jsonl").exists()
-
-    def test_vocabulary_mismatch_exits_4(self, trained_pipeline):
-        tmp_path, cfg = trained_pipeline
-        (tmp_path / "vocab.txt").write_text(
-            "<pad>\n<bos>\n<eos>\n<unk>\nsomethingelse\n", encoding="utf-8"
-        )
+        ckpt = tmp_path / "model.ckpt"
+        header = rewrite_header(ckpt, lambda h: {**h, "vocabulary": edit(h["vocabulary"])})
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: invalid checkpoint header: {message(header['vocabulary'])}\n")
+        assert not (tmp_path / "scored.jsonl").exists()
+
+    def test_vocabulary_unlike_the_model_exits_4(self, trained_pipeline, capsys):
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        rewrite_header(ckpt, lambda h: {**h, "vocabulary": [*SPECIAL_TOKENS, "somethingelse"]})
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: tensor manifest must be ")
+        assert not (tmp_path / "scored.jsonl").exists()
 
     def test_version_1_checkpoint_exits_4(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
@@ -719,13 +722,7 @@ class TestScoreCommand:
 
     def test_malformed_checkpoint_header_exits_4(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
-        ckpt = tmp_path / "model.ckpt"
-        blob = ckpt.read_bytes()
-        (header_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + header_len])
-        header["tensors"] = 5
-        raw = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        rewrite_header(tmp_path / "model.ckpt", lambda h: {**h, "tensors": 5})
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
         assert "[name, shape] pairs" in capsys.readouterr().err
 
@@ -736,12 +733,7 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg), "--quiet"]) == 0
         before = (tmp_path / "scored.jsonl").read_bytes()
         ckpt = tmp_path / "model.ckpt"
-        blob = ckpt.read_bytes()
-        (header_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + header_len])
-        header["config"][key] = value
-        raw = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        rewrite_header(ckpt, lambda h: {**h, "config": {**h["config"], key: value}})
         capsys.readouterr()
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
         err = capsys.readouterr().err
@@ -851,8 +843,7 @@ class TestScoreCommand:
         rng = np.random.default_rng(9)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
-        vocab.save(tmp_path / "vocab.txt")
-        save_checkpoint(params, vae_cfg, vocab.content_hash(), tmp_path / "model.ckpt")
+        save_checkpoint(params, vae_cfg, vocab, tmp_path / "model.ckpt")
         rows = [(f"r{i:02d}", " ".join(rng.choice(words, size=int(rng.integers(1, 19)))))
                 for i in range(64)]
         cfg = small_config(tmp_path)
@@ -879,8 +870,7 @@ class TestScoreCommand:
         rng = np.random.default_rng(4)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
-        vocab.save(tmp_path / "vocab.txt")
-        save_checkpoint(params, vae_cfg, vocab.content_hash(), tmp_path / "model.ckpt")
+        save_checkpoint(params, vae_cfg, vocab, tmp_path / "model.ckpt")
         rows = [(f"r{i:03d}", " ".join(rng.choice(words, size=int(rng.integers(1, 11)))))
                 for i in range(300)]
         write_pairs(tmp_path / "rule_retained.jsonl", rows)
@@ -1343,7 +1333,6 @@ FILE_FLAGS = [
     ("train", "--vocabulary", "vocabulary"),
     ("score", "--input", "rule_retained"),
     ("score", "--checkpoint", "checkpoint"),
-    ("score", "--vocabulary", "vocabulary"),
     ("score", "--output", "scored"),
     ("partition", "--input", "scored"),
     ("partition", "--retained", "retained"),
@@ -1390,6 +1379,13 @@ class TestArgumentParsing:
             build_parser().parse_args(["score", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_score_takes_no_vocabulary_flag(self, capsys):
+        # score reads the vocabulary from the checkpoint.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["score", "--vocabulary", "vocab.txt"])
+        assert exc.value.code == 2
+        assert "--vocabulary" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bootstrap", "train"])
     def test_stages_without_a_pool_take_no_jobs_flag(self, command, capsys):

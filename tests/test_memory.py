@@ -69,8 +69,7 @@ def cfg(tmp_path):
     vocab = Vocabulary(SPECIAL_TOKENS + WORDS)
     vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=12, latent_dim=4,
                         max_len=20, seed=1)
-    vocab.save(names["vocabulary"])
-    save_checkpoint(init_params(vae_cfg), vae_cfg, vocab.content_hash(), names["checkpoint"])
+    save_checkpoint(init_params(vae_cfg), vae_cfg, vocab, names["checkpoint"])
     return config
 
 

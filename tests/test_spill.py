@@ -123,8 +123,7 @@ def _rule_filter_argv(tmp):
 
 def _score_argv(tmp, root):
     return ["score", "--quiet", "--input", str(tmp / "in.jsonl"),
-            "--checkpoint", str(root / "model.ckpt"), "--vocabulary", str(root / "vocab.txt"),
-            "--output", str(tmp / "out.jsonl")]
+            "--checkpoint", str(root / "model.ckpt"), "--output", str(tmp / "out.jsonl")]
 
 
 def _partition_argv(tmp, strategy, strip):
@@ -141,8 +140,7 @@ def model(tmp_path_factory):
     cfg = VaeConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=6, latent_dim=2, max_len=12,
                     seed=1)
     params = init_params(cfg)
-    vocab.save(root / "vocab.txt")
-    save_checkpoint(params, cfg, vocab.content_hash(), root / "model.ckpt")
+    save_checkpoint(params, cfg, vocab, root / "model.ckpt")
     return root, vocab, params, cfg
 
 

@@ -5,7 +5,7 @@ import math
 import re
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from queryfilter.vae import (
     train,
     zeros_like_params,
 )
-from queryfilter.vocab import BOS, EOS
+from queryfilter.vocab import BOS, EOS, SPECIAL_TOKENS, Vocabulary
 
 
 def tiny_config(**overrides) -> VaeConfig:
@@ -413,18 +413,23 @@ class TestConfig:
         assert replace(cfg, learning_rate=5e-324).learning_rate == 5e-324
 
 
+def vocab_of_size(size: int) -> Vocabulary:
+    return Vocabulary(SPECIAL_TOKENS + tuple(f"w{i}" for i in range(size - len(SPECIAL_TOKENS))))
+
+
 class TestCheckpoint:
     def _roundtrip_setup(self, tmp_path):
         cfg = tiny_config(seed=21)
         params = init_params(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, "hash-of-vocab", path)
+        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
         return params, cfg, path
 
     def test_bitwise_round_trip(self, tmp_path):
         params, cfg, path = self._roundtrip_setup(tmp_path)
-        loaded, loaded_cfg = load_checkpoint(path)
+        loaded, loaded_cfg, vocab = load_checkpoint(path)
         assert loaded_cfg == cfg
+        assert vocab == vocab_of_size(cfg.vocab_size)
         for (name, a), (_, b) in zip(named_tensors(params), named_tensors(loaded)):
             assert np.array_equal(a, b), name
 
@@ -449,15 +454,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
-    def test_vocab_hash_mismatch(self, tmp_path):
-        _, _, path = self._roundtrip_setup(tmp_path)
-        with pytest.raises(CheckpointError, match="model/vocabulary mismatch"):
-            load_checkpoint(path, expected_vocab_hash="different-hash")
-
-    def test_matching_hash_accepted(self, tmp_path):
-        _, _, path = self._roundtrip_setup(tmp_path)
-        load_checkpoint(path, expected_vocab_hash="hash-of-vocab")
-
     def _rewrite_header(self, path, edit):
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
@@ -465,19 +461,77 @@ class TestCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
                          + blob[12 + header_len :])
 
-    @pytest.mark.parametrize("dropped", [("config",), ("vocab_hash",), ("tensors",),
-                                         ("config", "vocab_hash", "tensors")],
-                             ids=["config", "vocab_hash", "tensors", "all"])
+    def test_version_2_file_rejected_with_a_request_to_retrain(self, tmp_path):
+        # The version-2 header: the full config, and the hash of a separate vocab.txt.
+        _, cfg, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {"config": asdict(cfg), "vocab_hash": "0" * 64,
+                                              "tensors": h["tensors"]})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        with pytest.raises(CheckpointError,
+                           match=rf"^{re.escape(str(path))}: unsupported checkpoint version 2; "
+                                 "retrain the model"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dropped", [("config",), ("vocabulary",), ("tensors",),
+                                         ("vocabulary", "config", "tensors")],
+                             ids=["config", "vocabulary", "tensors", "all"])
     def test_header_without_field_rejected(self, tmp_path, dropped):
         _, _, path = self._roundtrip_setup(tmp_path)
         self._rewrite_header(path, lambda h: {k: v for k, v in h.items() if k not in dropped})
         with pytest.raises(CheckpointError, match=f"lacks '{dropped[0]}'"):
             load_checkpoint(path)
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    # vocab_size is the vocabulary's length, so a header may not state it again.
+    @pytest.mark.parametrize("key, value", [("dropout", 0.1), ("vocab_size", 9)])
+    def test_unknown_config_key_rejected(self, tmp_path, key, value):
         _, _, path = self._roundtrip_setup(tmp_path)
-        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "dropout": 0.1}})
-        with pytest.raises(CheckpointError, match="dropout"):
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: .*'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: "<pad> <bos> <eos> <unk> w0", "must be a list of strings"),
+        (lambda v: {token: i for i, token in enumerate(v)}, "must be a list of strings"),
+        (lambda v: None, "must be a list of strings"),
+        (lambda v: [*v[:-1], 7], "must be a list of strings"),
+        (lambda v: [*v[:-1], ["w4"]], "must be a list of strings"),
+        (lambda v: [*v[:-1], None], "must be a list of strings"),
+        (lambda v: [], "must start with the reserved special tokens"),
+        (lambda v: [*v[1:], v[0]], "must start with the reserved special tokens"),
+        (lambda v: [v[1], v[0], *v[2:]], "must start with the reserved special tokens"),
+        (lambda v: [*v[:-1], "<unk>"], 'tokens must be unique: "<unk>" at id 8 repeats id 3'),
+        (lambda v: [*v[:-1], v[4]], 'tokens must be unique: "w0" at id 8 repeats id 4'),
+    ], ids=["string", "object", "null", "int-token", "list-token", "null-token", "empty",
+            "reserved-last", "reserved-swapped", "repeated-reserved", "repeated-token"])
+    def test_malformed_vocabulary_rejected(self, tmp_path, edit, message):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "vocabulary": edit(h["vocabulary"])})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: invalid checkpoint "
+                                                  rf"header: vocabulary {re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [lambda h: h.replace(b'"w0"', b'"w\xff"'),
+                                         lambda h: h.replace(b'"w0"', b'"w0\'')],
+                             ids=["token-not-utf8", "not-json"])
+    def test_header_that_does_not_decode_rejected(self, tmp_path, corrupt):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = corrupt(blob[12 : 12 + header_len])
+        assert len(header) == header_len
+        path.write_bytes(blob[:12] + header + blob[12 + header_len :])
+        with pytest.raises(CheckpointError,
+                           match=rf"^{re.escape(str(path))}: corrupt checkpoint header$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda v: [*v, "extra"], lambda v: v[:-1]],
+                             ids=["one-more", "one-fewer"])
+    def test_token_count_unlike_the_tensors_rejected(self, tmp_path, edit):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "vocabulary": edit(h["vocabulary"])})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: tensor manifest "
+                                                  r"must be the \[name, shape\] pairs"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("tensors", [
@@ -547,8 +601,7 @@ class TestCheckpoint:
             end += tensor.nbytes
         assert end == len(blob)
 
-    @pytest.mark.parametrize("key, value", [("embed_dim", 10**9), ("hidden_dim", 300_000),
-                                            ("vocab_size", 10**20)])
+    @pytest.mark.parametrize("key, value", [("embed_dim", 10**9), ("hidden_dim", 300_000)])
     def test_header_claiming_a_larger_model_than_the_file_holds_rejected(self, tmp_path, key,
                                                                         value):
         # Terabytes of float64: a load must refuse the header, not ask numpy for them.
@@ -576,7 +629,7 @@ class TestCheckpoint:
         cfg = VaeConfig(vocab_size=2000, embed_dim=128, hidden_dim=256, latent_dim=64, seed=4)
         params = init_params(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, "hash-of-vocab", path)
+        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
         model_bytes = sum(t.nbytes for _, t in named_tensors(params))
         del params
         tracemalloc.start()
@@ -595,13 +648,13 @@ class TestCheckpoint:
         for _, tensor in named_tensors(params):
             tensor[...] = rng.standard_normal(tensor.shape)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, "hash-of-vocab", path)
+        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
 
         def no_rng(*args, **kwargs):
             raise AssertionError("load_checkpoint drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        loaded, loaded_cfg = load_checkpoint(path)
+        loaded, loaded_cfg, _ = load_checkpoint(path)
         assert loaded_cfg == cfg
         for (name, a), (_, b) in zip(named_tensors(params), named_tensors(loaded)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -610,5 +663,5 @@ class TestCheckpoint:
     def test_integer_learning_rate_accepted(self, tmp_path):
         cfg = replace(tiny_config(seed=21), learning_rate=1)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg), cfg, "hash-of-vocab", path)
+        save_checkpoint(init_params(cfg), cfg, vocab_of_size(cfg.vocab_size), path)
         assert load_checkpoint(path)[1] == cfg
