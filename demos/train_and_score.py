@@ -23,16 +23,13 @@ corpus = [
 ]
 
 token_lists = [tokenize(s) for s in corpus]
-vocab = build_vocab(token_lists, max_size=200, min_count=1)
-sequences = [vocab.encode(t, max_len=12) for t in token_lists]
+vocab = build_vocab(token_lists, max_size=200, min_count=1, max_len=12)
+sequences = [vocab.encode(t) for t in token_lists]
 
-config = VaeConfig(
-    vocab_size=vocab.size, embed_dim=24, hidden_dim=48, latent_dim=12,
-    max_len=12, epochs=8, batch_size=32, learning_rate=2e-3,
-    kl_anneal_steps=500, seed=0,
-)
+config = VaeConfig(embed_dim=24, hidden_dim=48, latent_dim=12, epochs=8, batch_size=32,
+                   learning_rate=2e-3, kl_anneal_steps=500)
 print(f"training on {len(sequences)} sentences, vocabulary of {vocab.size} tokens")
-params, trace = train(sequences, config)
+params, trace = train(sequences, config, vocab.size, seed=0)
 for stats in trace:
     print(f"  epoch {stats.epoch}: ce/token {stats.mean_ce:.3f}  kl {stats.mean_kl:.3f}")
 
@@ -47,6 +44,6 @@ probes = [
     "Copyright 2014 by the authors",   # off-topic prose, mostly unknown tokens
 ]
 print("\nreconstruction loss (nats/token):")
-scores = reconstruction_loss(params, [vocab.encode(tokenize(t), max_len=12) for t in probes])
+scores = reconstruction_loss(params, [vocab.encode(tokenize(t)) for t in probes])
 for text, score in zip(probes, scores):
     print(f"  {text!r:35} {score:6.3f}")

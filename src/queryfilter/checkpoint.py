@@ -1,11 +1,11 @@
 """Binary checkpoint format for trained models.
 
 Layout: magic "QDVA", little-endian u32 version, u32 header length, a JSON
-header (config, vocabulary tokens in id order, tensor manifest), then the raw
-tensor payload as little-endian float64 in manifest order.  A checkpoint is
-the whole model: the vocabulary sets ``vocab_size``, so the stored config
-omits it.  Loading verifies the magic, version, sizes, vocabulary and tensor
-layout.
+header (the [vae] config, the vocabulary's tokens in id order and its
+max_len, the tensor manifest), then the raw tensor payload as little-endian
+float64 in manifest order.  A checkpoint is the whole model, encoder
+included.  Loading verifies the magic, version, sizes, vocabulary, tensor
+layout and that every value is finite.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .vae import VaeConfig, VaeParams, empty_params, named_tensors
 from .vocab import Vocabulary
 
 MAGIC = b"QDVA"
-VERSION = 3  # 3 added the vocabulary to the header; 2 stacked each GRU's (w, u, b)
+VERSION = 4  # 4 moved max_len beside the vocabulary and dropped the seed; 3 added the vocabulary
 
 
 class CheckpointError(RuntimeError):
@@ -34,8 +34,9 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(params: VaeParams, config: VaeConfig, vocab: Vocabulary, path) -> None:
     tensors = named_tensors(params)
     header = {
-        "config": {k: v for k, v in asdict(config).items() if k != "vocab_size"},
+        "config": asdict(config),
         "vocabulary": list(vocab.id_to_token),
+        "max_len": vocab.max_len,
         "tensors": [[name, list(t.shape)] for name, t in tensors],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -55,11 +56,11 @@ def load_checkpoint(path):
     straight into the arrays of :func:`empty_params`.  The header's vocabulary
     and sizes are checked before the model is allocated.  Raises
     :class:`CheckpointError` naming ``path`` on a bad magic or another version
-    (a version-2 file predates the stored vocabulary: retrain), a truncated
-    file or trailing bytes, a header without its config, vocabulary or
-    tensors, a vocabulary that is not a list of unique strings starting with
-    the reserved tokens, an invalid config, a manifest other than the model's
-    ``[name, shape]`` pairs, or a model too large to allocate.
+    (retrain an older file), a truncated file or trailing bytes, a header
+    without its config, vocabulary, max_len or tensors, a vocabulary that is
+    not a list of unique strings starting with the reserved tokens, an
+    invalid max_len or config, a manifest other than the model's ``[name,
+    shape]`` pairs, a model too large to allocate, or a non-finite value.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -80,8 +81,8 @@ def load_checkpoint(path):
             tokens = header["vocabulary"]
             if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
                 raise TypeError("vocabulary must be a list of strings")
-            vocab = Vocabulary(tuple(tokens))
-            config = VaeConfig(vocab_size=vocab.size, **header["config"])
+            vocab = Vocabulary(tuple(tokens), header["max_len"])
+            config = VaeConfig(**header["config"])
             manifest = header["tensors"]
         except KeyError as exc:
             raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
@@ -95,7 +96,7 @@ def load_checkpoint(path):
         if 12 + header_len + declared > size:
             raise CheckpointError(f"{path}: truncated tensor payload of {declared} bytes")
         try:
-            params = empty_params(config)
+            params = empty_params(config, vocab.size)
         except (MemoryError, ValueError) as exc:  # ValueError: too large for numpy to index
             raise CheckpointError(f"{path}: cannot allocate the header's model: {exc}") from None
         tensors = named_tensors(params)
@@ -106,6 +107,8 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: truncated tensor payload at {name}")
             if sys.byteorder == "big":  # the payload is little-endian
                 tensor.byteswap(inplace=True)
+            if not np.isfinite(tensor).all():
+                raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     return params, config, vocab

@@ -3,8 +3,8 @@
 Stage outputs are always written to disk so a pipeline can resume per stage;
 diagnostics go to stderr, data to the configured files.  Exit codes: 0 on
 success, 2 for I/O problems, 3 when training failed (an empty corpus or a
-non-finite loss), 4 for a bad checkpoint, 5 for missing scores, 1
-otherwise.
+non-finite loss), 4 for a bad checkpoint or one whose model gives a
+non-finite score, 5 for missing scores, 1 otherwise.
 
 The record stages stream: no stage holds its records.  What each keeps that
 grows with the corpus is named in its docstring, with its size per record
@@ -190,13 +190,12 @@ def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
 
 def run_train(cfg: PipelineConfig, quiet=False):
     _check_outputs(cfg.paths, "train")
-    vae_cfg = cfg.model_config()  # before the bootstrap is read
     # tokenize finds [a-z0-9]+ runs, so a line's surrounding whitespace never matters
     token_lists = [tokenize(line) for _, line in iter_lines(cfg.paths.bootstrap)
                    if not line.isspace()]
-    vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count)
-    sequences = [vocab.encode(tokens, cfg.tokenizer.max_len) for tokens in token_lists]
-    vae_cfg = dataclasses.replace(vae_cfg, vocab_size=vocab.size)
+    vocab = build_vocab(token_lists, cfg.tokenizer.max_size, cfg.tokenizer.min_count,
+                        cfg.tokenizer.max_len)
+    sequences = [vocab.encode(tokens) for tokens in token_lists]
     _diag(quiet, f"train: {len(sequences)} sequences, vocabulary size {vocab.size}")
 
     def progress(stats):
@@ -206,9 +205,9 @@ def run_train(cfg: PipelineConfig, quiet=False):
             f"({stats.seconds:.1f}s)",
         )
 
-    params, trace = train(sequences, vae_cfg, progress=progress)
+    params, trace = train(sequences, cfg.vae, vocab.size, cfg.seed, progress=progress)
     vocab.save(cfg.paths.vocabulary)
-    save_checkpoint(params, vae_cfg, vocab, cfg.paths.checkpoint)
+    save_checkpoint(params, cfg.vae, vocab, cfg.paths.checkpoint)
     return trace
 
 
@@ -302,15 +301,16 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
     token plus about 64 B) and spills the record's :func:`record_line`, all
     but the score, to an unnamed file beside the output (:func:`spill_beside`).
     It then scores them all, so at ``jobs`` 1 length groups span the whole
-    file; the stage peaks at about 206 B per record.  Pass 2 copies each
-    spilled line's bytes to the output with its score added.
+    file; the stage peaks at about 206 B per record.  A NaN or infinite
+    score raises :class:`CheckpointError` before the output is opened.  Pass
+    2 copies each spilled line's bytes to the output with its score added.
     """
     _check_outputs(cfg.paths, "score")
-    params, vae_cfg, vocab = load_checkpoint(cfg.paths.checkpoint)
+    params, _, vocab = load_checkpoint(cfg.paths.checkpoint)
     encoded = []
     with spill_beside(cfg.paths.scored) as spill:
         for record in read_jsonl(cfg.paths.rule_retained):
-            encoded.append(array("i", vocab.encode(tokenize(record.comment), vae_cfg.max_len)))
+            encoded.append(array("i", vocab.encode(tokenize(record.comment))))
             record.score = None
             spill.write(record_line(record))
 
@@ -322,6 +322,10 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
         # A process with no records would idle.
         scores = _score_in_processes(params, encoded, max(1, min(jobs, len(encoded))))
         del encoded  # pass 2 needs only the scores
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise CheckpointError(f"{cfg.paths.checkpoint}: the model gives {bad.size} records "
+                                  f"a NaN or infinite score (first: record {bad[0] + 1})")
 
         spill.seek(0)
         with atomic_open(cfg.paths.scored, "wb") as out:
@@ -506,8 +510,9 @@ def _load_cfg(args) -> PipelineConfig:
         overrides = {f.name: given[f.name] for f in dataclasses.fields(target) if f.name in given}
         setattr(cfg, section, dataclasses.replace(target, **overrides))
     cfg.ruleset.disabled += tuple(given.get("disable_rule", ()))
-    cfg.model_config()  # built only to check the seed and max_len
-    check_vocab_limits(cfg.tokenizer.max_size, cfg.tokenizer.min_count)
+    if cfg.seed < 0:
+        raise ValueError("seed must be >= 0")
+    check_vocab_limits(cfg.tokenizer.max_size, cfg.tokenizer.min_count, cfg.tokenizer.max_len)
     check_partition_settings(**dataclasses.asdict(cfg.threshold))
     return cfg
 

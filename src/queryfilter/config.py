@@ -2,8 +2,9 @@
 
 Sections mirror the pipeline: [pipeline] for the seed, [paths] for every
 file the stages read or write, [ruleset], [tokenizer], [vae] and
-[threshold].  Any value may be omitted; defaults below apply.  Command-line
-flags override file values.
+[threshold].  Each section is one dataclass, whose fields are its keys.
+Any value may be omitted; defaults below apply.  Command-line flags
+override file values.
 """
 
 from __future__ import annotations
@@ -58,18 +59,8 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     ruleset: RulesetConfig = field(default_factory=RulesetConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    # vocab_size, max_len and seed are placeholders: model_config sets the last
-    # two, and run_train the first from the built vocabulary.
-    vae: VaeConfig = field(default_factory=lambda: VaeConfig(vocab_size=10_000))
+    vae: VaeConfig = field(default_factory=VaeConfig)
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
-
-    def model_config(self) -> VaeConfig:
-        """[vae] with [tokenizer] max_len and the pipeline seed, checked as it is built."""
-        return replace(self.vae, max_len=self.tokenizer.max_len, seed=self.seed)
-
-
-# The [vae] keys a file may not set, since model_config and run_train derive them.
-_DERIVED = {"vae": ("vocab_size", "seed", "max_len")}
 
 
 def _cast(current, raw: str):
@@ -99,11 +90,7 @@ def load_config(path) -> PipelineConfig:
         if section != "pipeline" and section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         target = getattr(cfg, section) if section in sections else cfg
-        excluded = _DERIVED.get(section, ())
-        known = {
-            f.name for f in fields(target)
-            if f.name not in excluded and not is_dataclass(getattr(target, f.name))
-        }
+        known = {f.name for f in fields(target) if not is_dataclass(getattr(target, f.name))}
         unknown = set(parser.options(section)) - known
         if unknown:
             raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")

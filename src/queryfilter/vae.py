@@ -44,42 +44,31 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class VaeConfig:
-    """Model and optimizer hyperparameters; everything stochastic keys off ``seed``.
+    """Model and optimizer hyperparameters: the ``[vae]`` section.
 
     Building one raises ``TypeError`` on a wrongly typed field, ``ValueError`` on one out of range.
     """
 
-    vocab_size: int
     embed_dim: int = 128
     hidden_dim: int = 256
     latent_dim: int = 64
-    max_len: int = 20
     epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-3
     kl_anneal_steps: int = 2000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             kind = type(getattr(self, f.name))  # a bool is not an int here
             if kind is not int and not (kind is float and f.type == "float"):
                 raise TypeError(f"config field {f.name!r} must be {f.type}")
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "latent_dim"):
+        for name in ("embed_dim", "hidden_dim", "latent_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.max_len < 3:
-            raise ValueError("max_len must be >= 3")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be a finite positive number")
         if self.kl_anneal_steps < 0:
             raise ValueError("kl_anneal_steps must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -153,9 +142,9 @@ def named_tensors(params: VaeParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def empty_params(config: VaeConfig) -> VaeParams:
-    """Uninitialized tensors of the shapes ``config`` sets, for a loader to fill."""
-    v, e, h, k = config.vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
+def empty_params(config: VaeConfig, vocab_size: int) -> VaeParams:
+    """Uninitialized tensors of the model's shapes, for a loader to fill."""
+    v, e, h, k = vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
 
     def gru(in_dim: int) -> GruWeights:
         return GruWeights(np.empty((3 * h, in_dim)), np.empty((3 * h, h)), np.empty(3 * h))
@@ -174,10 +163,10 @@ def empty_params(config: VaeConfig) -> VaeParams:
     )
 
 
-def init_params(config: VaeConfig) -> VaeParams:
-    """Uniform initialization in [-0.08, 0.08], reproducible from the seed."""
-    params = empty_params(config)
-    rng = np.random.default_rng(config.seed)
+def init_params(config: VaeConfig, vocab_size: int, seed: int) -> VaeParams:
+    """Uniform initialization in [-0.08, 0.08], reproducible from ``seed``."""
+    params = empty_params(config, vocab_size)
+    rng = np.random.default_rng(seed)
     h = config.hidden_dim
     for f in fields(params):
         value = getattr(params, f.name)
@@ -337,16 +326,16 @@ def encoder_forward(params: VaeParams, ids, lengths):
     return fwd_states[-1] + bwd_states[-1], (pad, fwd, bwd)
 
 
-def latent(params: VaeParams, h: np.ndarray, noise: np.ndarray):
+def latent(params: VaeParams, h: np.ndarray, noise: np.ndarray | None = None):
     """Project ``h (B, H)`` to (mean, log-variance) and reparameterize with ``noise (B, k)``.
 
-    Returns (mu, logvar, z) with z = mu + noise * exp(logvar / 2); passing
-    zero noise makes the latent deterministic at the posterior mean.
+    Returns (mu, logvar, z) with z = mu + noise * exp(logvar / 2), or without
+    ``noise`` z = mu exactly: the posterior mean, whatever the variance.
     """
     a = h @ params.latent_w.T + params.latent_b
     k = params.latent_dim
     mu, logvar = a[:, :k], a[:, k:]
-    z = mu + np.asarray(noise) * np.exp(0.5 * logvar)
+    z = mu if noise is None else mu + np.asarray(noise) * np.exp(0.5 * logvar)
     return mu, logvar, z
 
 
@@ -456,9 +445,9 @@ def loss_and_grads(
 
 
 def total_loss(
-    params: VaeParams, ids, lengths, noise: np.ndarray, beta: float = 1.0
+    params: VaeParams, ids, lengths, noise: np.ndarray | None = None, beta: float = 1.0
 ) -> LossBreakdown:
-    """Forward-only loss of a padded batch, for scoring and the finite-difference oracle."""
+    """Forward-only loss of a padded batch; z = mu without ``noise``, as scoring runs it."""
     h, _ = encoder_forward(params, ids, lengths)
     mu, logvar, z = latent(params, h, noise)
     logits, _ = decoder_forward(params, z, ids, lengths)
@@ -481,7 +470,6 @@ def reconstruction_loss(params: VaeParams, sequences: Sequence[Sequence[int]]) -
     groups: dict[int, list[int]] = defaultdict(list)
     for i, seq in enumerate(sequences):
         groups[len(seq)].append(i)
-    noise = np.zeros((_SCORE_ROWS, params.latent_dim))
     for length, positions in groups.items():
         lengths = np.full(_SCORE_ROWS, length)
         for lo in range(0, len(positions), _SCORE_ROWS):
@@ -489,7 +477,7 @@ def reconstruction_loss(params: VaeParams, sequences: Sequence[Sequence[int]]) -
             ids = np.empty((_SCORE_ROWS, length), dtype=np.int64)
             ids[: len(rows)] = [sequences[i] for i in rows]
             ids[len(rows) :] = ids[0]
-            scores[rows] = total_loss(params, ids, lengths, noise).seq_ce[: len(rows)]
+            scores[rows] = total_loss(params, ids, lengths).seq_ce[: len(rows)]
     return scores
 
 
@@ -554,12 +542,14 @@ def kl_weight(step: int, anneal_steps: int) -> float:
 def train(
     sequences: Sequence[Sequence[int]],
     config: VaeConfig,
+    vocab_size: int,
+    seed: int,
     progress: Callable[[EpochStats], None] | None = None,
 ) -> tuple[VaeParams, list[EpochStats]]:
     """Train on encoded sequences; returns final parameters and the loss trace.
 
-    The corpus is canonicalized by sorting before the seed-driven shuffle, so
-    the result depends on the seed but not on input file ordering.  Each
+    The corpus is canonicalized by sorting before the ``seed``-driven shuffle,
+    so the result depends on the seed but not on input file ordering.  Each
     optimizer batch goes through :func:`loss_and_grads` in sub-batches of at
     most ``_ACTIVATION_CAP`` (time step x hidden unit) activations, so peak
     memory does not grow with ``batch_size``.  Raises
@@ -571,12 +561,12 @@ def train(
     for seq in canonical:
         if len(seq) < 2 or seq[0] != BOS or seq[-1] != EOS:
             raise TrainingError("sequences must be BOS ... EOS encoded")
-        if max(seq) >= config.vocab_size:
-            raise TrainingError("sequence id exceeds configured vocabulary size")
+        if max(seq) >= vocab_size:
+            raise TrainingError("sequence id exceeds the vocabulary size")
 
-    params = init_params(config)
+    params = init_params(config, vocab_size, seed)
     optimizer = _Adam(params, config.learning_rate)
-    rng = np.random.default_rng([config.seed, 1])
+    rng = np.random.default_rng([seed, 1])
     grads = zeros_like_params(params)
     padded, lengths = pad_batch(canonical)
     sub_batch = max(1, _ACTIVATION_CAP // (padded.shape[1] * config.hidden_dim))

@@ -1,4 +1,7 @@
-"""Tokenization and vocabulary handling shared by training and scoring."""
+"""Tokenization and the vocabulary: the one encoder that training and scoring share.
+
+A :class:`Vocabulary` carries ``max_len``, so scoring from a checkpoint encodes as training did.
+"""
 
 from __future__ import annotations
 
@@ -21,11 +24,16 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token/id bijection with the four reserved ids in front."""
+    """Token/id bijection with the four reserved ids in front; ``encode`` keeps ``max_len`` ids."""
 
     id_to_token: tuple[str, ...]
+    max_len: int = 20
 
-    def __post_init__(self):
+    def __post_init__(self):  # both fields may come from a checkpoint header
+        if type(self.max_len) is not int:  # a bool is not an int here
+            raise TypeError("max_len must be an int")
+        if self.max_len < 3:
+            raise ValueError("max_len must be >= 3")
         if self.id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise ValueError("vocabulary must start with the reserved special tokens")
         token_to_id: dict[str, int] = {}
@@ -43,14 +51,12 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK)
 
-    def encode(self, tokens: Sequence[str], max_len: int = 20) -> list[int]:
+    def encode(self, tokens: Sequence[str]) -> list[int]:
         """Wrap token ids with BOS/EOS, truncating to ``max_len`` total ids.
 
         Unknown tokens map to UNK; no padding is applied.
         """
-        if max_len < 3:
-            raise ValueError("max_len must be at least 3")
-        body = [self.id_of(t) for t in tokens[: max_len - 2]]
+        body = [self.id_of(t) for t in tokens[: self.max_len - 2]]
         return [BOS] + body + [EOS]
 
     def save(self, path) -> None:
@@ -62,24 +68,26 @@ class Vocabulary:
             fh.write("\n".join(self.id_to_token) + "\n")
 
 
-def check_vocab_limits(max_size: int, min_count: int) -> None:
+def check_vocab_limits(max_size: int, min_count: int, max_len: int) -> None:
     """Raise ``ValueError`` on limits that :func:`build_vocab` refuses whatever the corpus."""
     if max_size < 5:
         raise ValueError("max_size must be at least 5")
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
+    Vocabulary(SPECIAL_TOKENS, max_len)  # checks max_len
 
 
 def build_vocab(
-    corpus: Iterable[Sequence[str]], max_size: int = 10_000, min_count: int = 2
+    corpus: Iterable[Sequence[str]], max_size: int = 10_000, min_count: int = 2,
+    max_len: int = 20,
 ) -> Vocabulary:
-    """Build a vocabulary from token sequences.
+    """Build a vocabulary that encodes to at most ``max_len`` ids from token sequences.
 
     Tokens are ranked by descending frequency with lexicographic tie-breaks;
     tokens below ``min_count`` are dropped, then the top ``max_size - 4`` fill
     the ids after the specials.  Deterministic for a given corpus.
     """
-    check_vocab_limits(max_size, min_count)
+    check_vocab_limits(max_size, min_count, max_len)
     counts: dict[str, int] = {}
     for tokens in corpus:
         for token in tokens:
@@ -89,4 +97,4 @@ def build_vocab(
         key=lambda token: (-counts[token], token),
     )
     kept = ranked[: max_size - len(SPECIAL_TOKENS)]
-    return Vocabulary(SPECIAL_TOKENS + tuple(kept))
+    return Vocabulary(SPECIAL_TOKENS + tuple(kept), max_len)

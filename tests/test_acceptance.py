@@ -80,10 +80,8 @@ def test_criterion_1_table_golden_suite():
 
 def test_criterion_2_gradient_oracle():
     with criterion("2 gradient oracle vs central finite differences"):
-        cfg = VaeConfig(
-            vocab_size=20, embed_dim=4, hidden_dim=8, latent_dim=3, max_len=8, seed=7
-        )
-        params = init_params(cfg)
+        cfg = VaeConfig(embed_dim=4, hidden_dim=8, latent_dim=3)
+        params = init_params(cfg, 20, 7)
         # a generic parameter point: larger weights than the training init so
         # every path carries signal
         point_rng = np.random.default_rng(11)
@@ -196,18 +194,15 @@ def test_criterion_5_separation_experiment():
         eval_texts += [(_random_sentence(rng), False) for _ in range(1000)]
 
         token_lists = [tokenize(s) for s in corpus]
-        vocab = build_vocab(token_lists, max_size=500, min_count=1)
-        sequences = [vocab.encode(t, 20) for t in token_lists]
-        cfg = VaeConfig(
-            vocab_size=vocab.size, embed_dim=32, hidden_dim=64, latent_dim=16,
-            max_len=20, epochs=10, batch_size=32, learning_rate=1e-3,
-            kl_anneal_steps=2000, seed=0,
-        )
-        params, trace = train(sequences, cfg)
+        vocab = build_vocab(token_lists, max_size=500, min_count=1, max_len=20)
+        sequences = [vocab.encode(t) for t in token_lists]
+        cfg = VaeConfig(embed_dim=32, hidden_dim=64, latent_dim=16, epochs=10, batch_size=32,
+                        learning_rate=1e-3, kl_anneal_steps=2000)
+        params, trace = train(sequences, cfg, vocab.size, 0)
         assert trace[-1].mean_total < trace[0].mean_total
 
         scores = reconstruction_loss(
-            params, [vocab.encode(tokenize(text), 20) for text, _ in eval_texts]
+            params, [vocab.encode(tokenize(text)) for text, _ in eval_texts]
         )
         scored = [(f"s{i}", score) for i, score in enumerate(scores.tolist())]
         labels = {f"s{i}": is_template for i, (_, is_template) in enumerate(eval_texts)}

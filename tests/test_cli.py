@@ -52,6 +52,26 @@ def write_scored(path, n, extra_line=None):
             fh.write(extra_line)
 
 
+def edit_model(path, edit):
+    """Rewrite the checkpoint ``path`` with ``edit`` applied to its parameters."""
+    params, vae_cfg, vocab = load_checkpoint(path)
+    edit(params)
+    save_checkpoint(params, vae_cfg, vocab, path)
+
+
+def overflow_logits(params):
+    """Finite weights whose logits overflow to inf for every record."""
+    params.out_b.fill(np.finfo(float).max)
+    params.out_w *= 1e306
+
+
+def tensor_payload(path):
+    """The bytes of a checkpoint after its header."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return blob[12 + header_len:]
+
+
 def output_bytes(tmp_path, names):
     return {name: (tmp_path / name).read_bytes() for name in names}
 
@@ -646,15 +666,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini"]
 
-    def test_checkpoint_takes_max_len_from_tokenizer_and_seed_from_pipeline(self, trained_pipeline):
-        tmp_path, cfg = trained_pipeline  # [tokenizer] max_len = 12, [pipeline] seed = 7
+    def test_checkpoint_takes_max_len_from_tokenizer(self, trained_pipeline):
+        tmp_path, _ = trained_pipeline  # [tokenizer] max_len = 12
+        assert load_checkpoint(tmp_path / "model.ckpt")[2].max_len == 12
 
-        def saved_config():
-            return load_checkpoint(tmp_path / "model.ckpt")[1]
-
-        assert (saved_config().max_len, saved_config().seed) == (12, 7)
+    def test_seed_flag_trains_as_the_pipeline_seed(self, trained_pipeline):
+        tmp_path, cfg = trained_pipeline  # [pipeline] seed = 7
+        seed_7 = tensor_payload(tmp_path / "model.ckpt")
         assert main(["train", "--config", str(cfg), "--quiet", "--seed", "5"]) == 0
-        assert (saved_config().max_len, saved_config().seed) == (12, 5)
+        flag_5 = tensor_payload(tmp_path / "model.ckpt")
+        cfg.write_text(cfg.read_text().replace("seed = 7", "seed = 5"))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        assert tensor_payload(tmp_path / "model.ckpt") == flag_5 != seed_7
 
     def test_same_seed_same_checkpoint(self, trained_pipeline):
         tmp_path, cfg = trained_pipeline
@@ -739,6 +762,30 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
         assert (tmp_path / "scored.jsonl").read_bytes() == before
+
+    def test_huge_posterior_variance_scores_as_the_mean(self, trained_pipeline):
+        # Scoring decodes from z = mu; at logvar 3000, exp(logvar / 2) is infinite.
+        tmp_path, cfg = trained_pipeline
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        before = (tmp_path / "scored.jsonl").read_bytes()
+        edit_model(tmp_path / "model.ckpt", lambda p: p.latent_b[p.latent_dim:].fill(3000.0))
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 0
+        assert (tmp_path / "scored.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.out_b.__setitem__(3, np.nan), "tensor out_b holds a NaN or infinite value"),
+        (overflow_logits, "the model gives 20 records a NaN or infinite score (first: record 1)"),
+    ], ids=["nan-tensor", "overflowing-logits"])
+    def test_model_without_finite_scores_exits_4_before_any_output(self, trained_pipeline,
+                                                                  capsys, edit, message):
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        edit_model(ckpt, edit)
+        listing = sorted(os.listdir(tmp_path))
+        with np.errstate(all="ignore"):
+            assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == listing
 
     def test_empty_comment_scores_finite_and_is_flagged(self, trained_pipeline, capsys):
         tmp_path, cfg = trained_pipeline
@@ -837,9 +884,8 @@ class TestScoreCommand:
         # Weights larger than the training init make such differences show.
         words = tuple(f"w{i}" for i in range(496))
         vocab = Vocabulary(SPECIAL_TOKENS + words)
-        vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=32, hidden_dim=64,
-                            latent_dim=8, max_len=20, seed=5)
-        params = init_params(vae_cfg)
+        vae_cfg = VaeConfig(embed_dim=32, hidden_dim=64, latent_dim=8)
+        params = init_params(vae_cfg, vocab.size, 5)
         rng = np.random.default_rng(9)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
@@ -863,10 +909,9 @@ class TestScoreCommand:
 
     def test_interleaved_split_scores_each_record_as_alone(self, tmp_path):
         words = tuple(f"w{i}" for i in range(96))
-        vocab = Vocabulary(SPECIAL_TOKENS + words)
-        vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=16, hidden_dim=32,
-                            latent_dim=4, max_len=12, seed=3)
-        params = init_params(vae_cfg)
+        vocab = Vocabulary(SPECIAL_TOKENS + words, max_len=12)
+        vae_cfg = VaeConfig(embed_dim=16, hidden_dim=32, latent_dim=4)
+        params = init_params(vae_cfg, vocab.size, 3)
         rng = np.random.default_rng(4)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
@@ -879,7 +924,7 @@ class TestScoreCommand:
         scored = list(read_jsonl(tmp_path / "scored.jsonl"))
         assert [r.id for r in scored] == [rid for rid, _ in rows]
         for record, (_, comment) in zip(scored, rows):
-            ids = vocab.encode(tokenize(comment), vae_cfg.max_len)
+            ids = vocab.encode(tokenize(comment))
             assert record.score == reconstruction_loss(params, [ids])[0]
 
     @pytest.mark.parametrize("edit", sorted(EDITS))

@@ -51,13 +51,17 @@ def _workloads():
 
 def fingerprint() -> dict:
     """What model bits depend on besides the program: numpy, its BLAS and the CPU."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.25 only prints its configuration
+        blas = {}
     threads = os.environ.get("OPENBLAS_NUM_THREADS")
     for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                      "openblas_get_num_threads"):
             get = getattr(ctypes.CDLL(lib), name, None)
             if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
                 threads = get()
                 break
     try:

@@ -67,9 +67,8 @@ def cfg(tmp_path):
                                             "retained", "semantic_rejects", "report")}
     config = PipelineConfig(paths=PathsConfig(**names))
     vocab = Vocabulary(SPECIAL_TOKENS + WORDS)
-    vae_cfg = VaeConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=12, latent_dim=4,
-                        max_len=20, seed=1)
-    save_checkpoint(init_params(vae_cfg), vae_cfg, vocab, names["checkpoint"])
+    vae_cfg = VaeConfig(embed_dim=8, hidden_dim=12, latent_dim=4)
+    save_checkpoint(init_params(vae_cfg, vocab.size, 1), vae_cfg, vocab, names["checkpoint"])
     return config
 
 

@@ -95,9 +95,8 @@ def _rule_filtered(records):
 
 
 def _scored(records, model):
-    _, vocab, params, cfg = model
-    scores = reconstruction_loss(params, [vocab.encode(tokenize(r.comment), cfg.max_len)
-                                          for r in records])
+    _, vocab, params, _ = model
+    scores = reconstruction_loss(params, [vocab.encode(tokenize(r.comment)) for r in records])
     return [dataclasses.replace(r, score=float(s)) for r, s in zip(records, scores)]
 
 
@@ -136,10 +135,9 @@ def _partition_argv(tmp, strategy, strip):
 @pytest.fixture(scope="module")
 def model(tmp_path_factory):
     root = tmp_path_factory.mktemp("model")
-    vocab = Vocabulary(SPECIAL_TOKENS + WORDS)
-    cfg = VaeConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=6, latent_dim=2, max_len=12,
-                    seed=1)
-    params = init_params(cfg)
+    vocab = Vocabulary(SPECIAL_TOKENS + WORDS, max_len=12)
+    cfg = VaeConfig(embed_dim=4, hidden_dim=6, latent_dim=2)
+    params = init_params(cfg, vocab.size, 1)
     save_checkpoint(params, cfg, vocab, root / "model.ckpt")
     return root, vocab, params, cfg
 

@@ -5,7 +5,7 @@ import math
 import re
 import struct
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,13 +38,18 @@ from queryfilter.vae import (
 from queryfilter.vocab import BOS, EOS, SPECIAL_TOKENS, Vocabulary
 
 
+TINY_VOCAB, TINY_SEED = 9, 11
+
+
 def tiny_config(**overrides) -> VaeConfig:
-    base = dict(
-        vocab_size=9, embed_dim=4, hidden_dim=6, latent_dim=2, max_len=8,
-        epochs=3, batch_size=2, learning_rate=1e-3, kl_anneal_steps=2000, seed=11,
-    )
+    base = dict(embed_dim=4, hidden_dim=6, latent_dim=2, epochs=3, batch_size=2,
+                learning_rate=1e-3, kl_anneal_steps=2000)
     base.update(overrides)
     return VaeConfig(**base)
+
+
+def tiny_params(vocab_size=TINY_VOCAB, seed=TINY_SEED, **overrides):
+    return init_params(tiny_config(**overrides), vocab_size, seed)
 
 
 def _tie_encoder_directions(params: VaeParams) -> None:
@@ -54,7 +59,7 @@ def _tie_encoder_directions(params: VaeParams) -> None:
 
 class TestEncoder:
     def test_zero_weights_give_zero_state(self):
-        params = init_params(tiny_config())
+        params = tiny_params()
         for _, tensor in named_tensors(params):
             tensor.fill(0.0)
         h, _ = encoder_forward(params, *pad_batch([[1, 4, 5, 2]]))
@@ -63,8 +68,7 @@ class TestEncoder:
     def test_single_token_is_twice_one_hand_computed_cell(self):
         # Hand-evaluate one GRU step elementwise from the gate equations;
         # with tied directions a single token gives h = 2 * step.
-        cfg = tiny_config(vocab_size=5, embed_dim=2, hidden_dim=2, latent_dim=2)
-        params = init_params(cfg)
+        params = tiny_params(vocab_size=5, embed_dim=2, hidden_dim=2, latent_dim=2)
         _tie_encoder_directions(params)
         token = 4
         x = params.embedding[token]
@@ -81,7 +85,7 @@ class TestEncoder:
         assert np.allclose(h, 2.0 * np.array([step]), rtol=0, atol=1e-15)
 
     def test_tied_weights_make_h_reversal_invariant(self):
-        params = init_params(tiny_config(seed=5))
+        params = tiny_params(seed=5)
         _tie_encoder_directions(params)
         ids = [1, 4, 5, 6, 7, 2]
         h_fwd, _ = encoder_forward(params, *pad_batch([ids]))
@@ -89,7 +93,7 @@ class TestEncoder:
         assert np.array_equal(h_fwd, h_rev)
 
     def test_out_of_range_id_rejected(self):
-        params = init_params(tiny_config())
+        params = tiny_params()
         with pytest.raises(ValueError, match="out of range"):
             encoder_forward(params, *pad_batch([[1, 99, 2]]))
         with pytest.raises(ValueError, match="non-empty"):
@@ -98,13 +102,19 @@ class TestEncoder:
 
 class TestLatent:
     def test_zero_noise_gives_mean(self):
-        params = init_params(tiny_config())
+        params = tiny_params()
         h = np.linspace(-1, 1, params.hidden_dim)[None]
         mu, logvar, z = latent(params, h, np.zeros((1, params.latent_dim)))
         assert np.array_equal(z, mu)
 
+    def test_no_noise_gives_the_mean_at_any_variance(self):
+        params = tiny_params()
+        params.latent_b[params.latent_dim:] = 3000.0  # exp(logvar / 2) overflows
+        mu, _, z = latent(params, np.linspace(-1, 1, params.hidden_dim)[None])
+        assert np.array_equal(z, mu)
+
     def test_unit_logvar_zero(self):
-        params = init_params(tiny_config())
+        params = tiny_params()
         h = np.linspace(-1, 1, params.hidden_dim)[None]
         params.latent_b[params.latent_dim:] = 0.0
         params.latent_w[params.latent_dim:, :] = 0.0  # force logvar == 0
@@ -114,7 +124,7 @@ class TestLatent:
 
     def test_hand_case(self):
         # mu=(1,0), logvar=(0, ln 4), noise=(2,-1) -> z=(3,-2)
-        params = init_params(tiny_config(latent_dim=2))
+        params = tiny_params(latent_dim=2)
         params.latent_w[...] = 0.0
         params.latent_b[...] = [1.0, 0.0, 0.0, math.log(4.0)]
         mu, logvar, z = latent(params, np.zeros((1, params.hidden_dim)), np.array([[2.0, -1.0]]))
@@ -124,33 +134,32 @@ class TestLatent:
 
 class TestDecoderAndLoss:
     def test_softmax_rows_normalized(self):
-        params = init_params(tiny_config(seed=2))
+        params = tiny_params(seed=2)
         logits, _ = decoder_forward(params, np.ones((1, params.latent_dim)), *pad_batch([[1, 4, 5, 2]]))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
     def test_zero_weights_give_uniform_ce(self):
-        cfg = tiny_config(vocab_size=20)
-        params = init_params(cfg)
+        params = tiny_params(vocab_size=20)
         for _, tensor in named_tensors(params):
             tensor.fill(0.0)
         ids, lengths = pad_batch([[1, 4, 5, 6, 2]])
-        logits, _ = decoder_forward(params, np.zeros((1, cfg.latent_dim)), ids, lengths)
+        logits, _ = decoder_forward(params, np.zeros((1, params.latent_dim)), ids, lengths)
         logp = _log_softmax_(logits)
         breakdown = elbo_loss(logp, ids, lengths, np.zeros((1, 2)), np.zeros((1, 2)))
         assert breakdown.ce == math.log(20.0)
         assert breakdown.kl == 0.0
 
     def test_deterministic_logits(self):
-        params = init_params(tiny_config(seed=9))
+        params = tiny_params(seed=9)
         z = np.linspace(-0.5, 0.5, params.latent_dim)[None]
         a, _ = decoder_forward(params, z, *pad_batch([[1, 4, 2]]))
         b, _ = decoder_forward(params, z, *pad_batch([[1, 4, 2]]))
         assert np.array_equal(a, b)
 
     def test_targets_must_be_bos_eos_framed(self):
-        params = init_params(tiny_config())
+        params = tiny_params()
         with pytest.raises(ValueError, match="BOS"):
             decoder_forward(params, np.zeros((1, params.latent_dim)), *pad_batch([[4, 5, 6]]))
 
@@ -182,7 +191,7 @@ class TestDecoderAndLoss:
 
 class TestBatching:
     def test_batch_gradient_is_sum_of_single_sequence_gradients(self):
-        params = init_params(tiny_config(vocab_size=20, seed=6))
+        params = tiny_params(vocab_size=20, seed=6)
         seqs = [[1, 5, 9, 4, 17, 2], [1, 7, 12, 2], [1, 3, 2], [1, 8, 8, 8, 8, 8, 6, 2]]
         noise = np.random.default_rng(0).standard_normal((len(seqs), params.latent_dim))
         batched, grads = loss_and_grads(params, *pad_batch(seqs), noise, 0.7)
@@ -198,8 +207,8 @@ class TestBatching:
 
 class TestAdam:
     def test_step_is_bit_identical_to_the_reference_formula(self):
-        params = init_params(tiny_config(seed=2))
-        grads = init_params(tiny_config(seed=3))  # any tensors of the right shapes
+        params = tiny_params(seed=2)
+        grads = tiny_params(seed=3)  # any tensors of the right shapes
         expected = {name: t.copy() for name, t in named_tensors(params)}
         m = {name: np.zeros_like(t) for name, t in expected.items()}
         v = {name: np.zeros_like(t) for name, t in expected.items()}
@@ -220,19 +229,17 @@ class TestAdam:
 
 class TestTrain:
     def test_overfits_repeated_sentence(self):
-        cfg = VaeConfig(
-            vocab_size=9, embed_dim=8, hidden_dim=12, latent_dim=3, max_len=8,
-            epochs=200, batch_size=4, learning_rate=5e-3, kl_anneal_steps=2000, seed=3,
-        )
-        params, trace = train([[1, 4, 5, 6, 7, 2]] * 4, cfg)
+        cfg = VaeConfig(embed_dim=8, hidden_dim=12, latent_dim=3, epochs=200, batch_size=4,
+                        learning_rate=5e-3, kl_anneal_steps=2000)
+        params, trace = train([[1, 4, 5, 6, 7, 2]] * 4, cfg, 9, 3)
         assert trace[-1].mean_ce < 0.1
         assert trace[-1].mean_total < trace[0].mean_total
         assert len(trace) == cfg.epochs
 
     def test_seed_reproducibility(self):
         corpus = [[1, 4, 5, 2], [1, 6, 7, 8, 2], [1, 5, 5, 4, 2], [1, 8, 2]]
-        p1, t1 = train(corpus, tiny_config())
-        p2, t2 = train(corpus, tiny_config())
+        p1, t1 = train(corpus, tiny_config(), TINY_VOCAB, TINY_SEED)
+        p2, t2 = train(corpus, tiny_config(), TINY_VOCAB, TINY_SEED)
         for (name, a), (_, b) in zip(named_tensors(p1), named_tensors(p2)):
             assert np.array_equal(a, b), name
         losses = lambda trace: [(s.mean_ce, s.mean_kl, s.mean_total) for s in trace]
@@ -240,25 +247,25 @@ class TestTrain:
 
     def test_input_order_does_not_matter(self):
         corpus = [[1, 4, 5, 2], [1, 6, 7, 8, 2], [1, 5, 5, 4, 2], [1, 8, 2]]
-        p1, _ = train(corpus, tiny_config())
-        p2, _ = train(list(reversed(corpus)), tiny_config())
+        p1, _ = train(corpus, tiny_config(), TINY_VOCAB, TINY_SEED)
+        p2, _ = train(list(reversed(corpus)), tiny_config(), TINY_VOCAB, TINY_SEED)
         for (name, a), (_, b) in zip(named_tensors(p1), named_tensors(p2)):
             assert np.array_equal(a, b), name
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
-            train([], tiny_config())
+            train([], tiny_config(), TINY_VOCAB, TINY_SEED)
 
     def test_unframed_sequence_rejected(self):
         with pytest.raises(TrainingError, match="BOS"):
-            train([[4, 5, 6]], tiny_config())
+            train([[4, 5, 6]], tiny_config(), TINY_VOCAB, TINY_SEED)
 
     def test_divergence_aborts_with_step(self):
         cfg = tiny_config(learning_rate=1e14, epochs=5)
         corpus = [[1, 4, 5, 2], [1, 6, 7, 8, 2], [1, 5, 5, 4, 2], [1, 8, 2]]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="step"):
-                train(corpus, cfg)
+                train(corpus, cfg, TINY_VOCAB, TINY_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -272,22 +279,28 @@ def small_trained_model():
         sentences.append(
             [BOS, int(rng.choice(verbs)), int(rng.choice(nouns)), 19, int(rng.choice(nouns)), EOS]
         )
-    cfg = VaeConfig(
-        vocab_size=20, embed_dim=12, hidden_dim=24, latent_dim=6, max_len=10,
-        epochs=25, batch_size=16, learning_rate=3e-3, kl_anneal_steps=500, seed=1,
-    )
-    params, trace = train(sentences, cfg)
+    cfg = VaeConfig(embed_dim=12, hidden_dim=24, latent_dim=6, epochs=25, batch_size=16,
+                    learning_rate=3e-3, kl_anneal_steps=500)
+    params, trace = train(sentences, cfg, 20, 1)
     return params, sentences, trace
 
 
 class TestReconstructionLoss:
     def test_non_negative_and_deterministic(self):
-        params = init_params(tiny_config(seed=4))
+        params = tiny_params(seed=4)
         ids = [1, 4, 5, 2]
         (a,) = reconstruction_loss(params, [ids])
         (b,) = reconstruction_loss(params, [ids])
         assert a >= 0.0
         assert a == b
+
+    def test_posterior_variance_does_not_enter_the_score(self):
+        # Scoring decodes from z = mu: a variance too large for exp leaves the scores finite.
+        params = tiny_params(seed=4)
+        records = [[1, 4, 5, 2], [1, 6, 2]]
+        expected = reconstruction_loss(params, records)
+        params.latent_b[params.latent_dim:] = 3000.0
+        assert np.array_equal(reconstruction_loss(params, records), expected)
 
     def test_training_sentences_beat_shuffles(self, small_trained_model):
         params, sentences, _ = small_trained_model
@@ -323,8 +336,7 @@ class TestBatchedScoring:
 
     @pytest.fixture(scope="class")
     def params(self):
-        params = init_params(VaeConfig(vocab_size=self.VOCAB, embed_dim=16, hidden_dim=32,
-                                       latent_dim=4, max_len=20, seed=8))
+        params = init_params(VaeConfig(embed_dim=16, hidden_dim=32, latent_dim=4), self.VOCAB, 8)
         rng = np.random.default_rng(8)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
@@ -358,8 +370,7 @@ class TestBatchedScoring:
         rng = np.random.default_rng(3)
         records = _random_records(rng, [7, 3, 12, 3, 7, 5, 20, 3, 9], self.VOCAB)
         scores = reconstruction_loss(params, records)
-        noise = np.zeros((1, params.latent_dim))
-        expected = [total_loss(params, *pad_batch([r]), noise).ce for r in records]
+        expected = [total_loss(params, *pad_batch([r])).ce for r in records]
         assert np.allclose(scores, expected, rtol=1e-12, atol=0.0)
 
     def test_empty_input_gives_empty_array(self, params):
@@ -375,11 +386,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("build", BUILDERS)
     @pytest.mark.parametrize("key, value, message", [
-        ("vocab_size", 0, "vocab_size must be >= 1"),
         ("embed_dim", 0, "embed_dim must be >= 1"),
         ("hidden_dim", -1, "hidden_dim must be >= 1"),
         ("latent_dim", 0, "latent_dim must be >= 1"),
-        ("max_len", 2, "max_len must be >= 3"),
         ("epochs", 0, "epochs must be >= 1"),
         ("batch_size", 0, "batch_size must be >= 1"),
         ("learning_rate", 0.0, "learning_rate must be a finite positive number"),
@@ -387,7 +396,6 @@ class TestConfig:
         ("learning_rate", math.nan, "learning_rate must be a finite positive number"),
         ("learning_rate", math.inf, "learning_rate must be a finite positive number"),
         ("kl_anneal_steps", -1, "kl_anneal_steps must be >= 0"),
-        ("seed", -1, "seed must be >= 0"),
     ])
     def test_out_of_range_value_raises_value_error(self, build, key, value, message):
         with pytest.raises(ValueError) as raised:
@@ -396,40 +404,45 @@ class TestConfig:
 
     @pytest.mark.parametrize("build", BUILDERS)
     @pytest.mark.parametrize("key, value, expected", [
-        ("vocab_size", 9.0, "int"), ("embed_dim", "4", "int"), ("hidden_dim", True, "int"),
-        ("latent_dim", None, "int"), ("max_len", np.int64(8), "int"), ("epochs", 3.5, "int"),
-        ("batch_size", [2], "int"), ("learning_rate", "0.1", "float"),
-        ("learning_rate", np.float64(0.1), "float"), ("learning_rate", False, "float"),
-        ("kl_anneal_steps", 2000.0, "int"), ("seed", "11", "int"),
+        ("embed_dim", "4", "int"), ("hidden_dim", True, "int"), ("latent_dim", None, "int"),
+        ("latent_dim", np.int64(8), "int"), ("epochs", 3.5, "int"), ("batch_size", [2], "int"),
+        ("learning_rate", "0.1", "float"), ("learning_rate", np.float64(0.1), "float"),
+        ("learning_rate", False, "float"), ("kl_anneal_steps", 2000.0, "int"),
     ])
     def test_wrongly_typed_value_raises_type_error(self, build, key, value, expected):
         with pytest.raises(TypeError) as raised:
             self.BUILDERS[build](**{key: value})
         assert str(raised.value) == f"config field '{key}' must be {expected}"
 
+    def test_the_seven_vae_keys_are_the_fields(self):
+        assert [f.name for f in fields(VaeConfig)] == [
+            "embed_dim", "hidden_dim", "latent_dim", "epochs", "batch_size", "learning_rate",
+            "kl_anneal_steps"]
+
     def test_the_bounds_themselves_are_accepted(self):
-        cfg = tiny_config(vocab_size=1, embed_dim=1, hidden_dim=1, latent_dim=1, max_len=3,
-                          epochs=1, batch_size=1, learning_rate=1, kl_anneal_steps=0, seed=0)
+        cfg = tiny_config(embed_dim=1, hidden_dim=1, latent_dim=1, epochs=1, batch_size=1,
+                          learning_rate=1, kl_anneal_steps=0)
         assert replace(cfg, learning_rate=5e-324).learning_rate == 5e-324
 
 
-def vocab_of_size(size: int) -> Vocabulary:
-    return Vocabulary(SPECIAL_TOKENS + tuple(f"w{i}" for i in range(size - len(SPECIAL_TOKENS))))
+def vocab_of_size(size: int, max_len: int = 20) -> Vocabulary:
+    return Vocabulary(SPECIAL_TOKENS + tuple(f"w{i}" for i in range(size - len(SPECIAL_TOKENS))),
+                      max_len)
 
 
 class TestCheckpoint:
-    def _roundtrip_setup(self, tmp_path):
-        cfg = tiny_config(seed=21)
-        params = init_params(cfg)
+    def _roundtrip_setup(self, tmp_path, max_len=8):
+        cfg = tiny_config()
+        params = init_params(cfg, TINY_VOCAB, 21)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
+        save_checkpoint(params, cfg, vocab_of_size(TINY_VOCAB, max_len), path)
         return params, cfg, path
 
     def test_bitwise_round_trip(self, tmp_path):
-        params, cfg, path = self._roundtrip_setup(tmp_path)
+        params, cfg, path = self._roundtrip_setup(tmp_path, max_len=12)
         loaded, loaded_cfg, vocab = load_checkpoint(path)
         assert loaded_cfg == cfg
-        assert vocab == vocab_of_size(cfg.vocab_size)
+        assert vocab == vocab_of_size(TINY_VOCAB, 12) and vocab.max_len == 12
         for (name, a), (_, b) in zip(named_tensors(params), named_tensors(loaded)):
             assert np.array_equal(a, b), name
 
@@ -461,29 +474,37 @@ class TestCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
                          + blob[12 + header_len :])
 
-    def test_version_2_file_rejected_with_a_request_to_retrain(self, tmp_path):
-        # The version-2 header: the full config, and the hash of a separate vocab.txt.
-        _, cfg, path = self._roundtrip_setup(tmp_path)
-        self._rewrite_header(path, lambda h: {"config": asdict(cfg), "vocab_hash": "0" * 64,
-                                              "tensors": h["tensors"]})
+    # Version 2: the full config, and the hash of a separate vocab.txt.  Version 3: the
+    # vocabulary, and a config with max_len and the seed but without vocab_size.
+    @pytest.mark.parametrize("version, header", [
+        (2, lambda h: {"config": {**h["config"], "vocab_size": 9, "max_len": 8, "seed": 21},
+                       "vocab_hash": "0" * 64, "tensors": h["tensors"]}),
+        (3, lambda h: {"config": {**h["config"], "max_len": 8, "seed": 21},
+                       "vocabulary": h["vocabulary"], "tensors": h["tensors"]}),
+    ])
+    def test_older_version_rejected_with_a_request_to_retrain(self, tmp_path, version, header):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, header)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(CheckpointError,
-                           match=rf"^{re.escape(str(path))}: unsupported checkpoint version 2; "
-                                 "retrain the model"):
+                           match=rf"^{re.escape(str(path))}: unsupported checkpoint version "
+                                 rf"{version}; retrain the model"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("dropped", [("config",), ("vocabulary",), ("tensors",),
-                                         ("vocabulary", "config", "tensors")],
-                             ids=["config", "vocabulary", "tensors", "all"])
+    @pytest.mark.parametrize("dropped", [("config",), ("vocabulary",), ("max_len",), ("tensors",),
+                                         ("vocabulary", "config", "max_len", "tensors")],
+                             ids=["config", "vocabulary", "max_len", "tensors", "all"])
     def test_header_without_field_rejected(self, tmp_path, dropped):
         _, _, path = self._roundtrip_setup(tmp_path)
         self._rewrite_header(path, lambda h: {k: v for k, v in h.items() if k not in dropped})
         with pytest.raises(CheckpointError, match=f"lacks '{dropped[0]}'"):
             load_checkpoint(path)
 
-    # vocab_size is the vocabulary's length, so a header may not state it again.
-    @pytest.mark.parametrize("key, value", [("dropout", 0.1), ("vocab_size", 9)])
+    # The vocabulary sets vocab_size and max_len, so the config may not state them again;
+    # the seed is not stored.
+    @pytest.mark.parametrize("key, value", [("dropout", 0.1), ("vocab_size", 9), ("max_len", 8),
+                                            ("seed", 21)])
     def test_unknown_config_key_rejected(self, tmp_path, key, value):
         _, _, path = self._roundtrip_setup(tmp_path)
         self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
@@ -546,12 +567,34 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_dim", "4"), ("hidden_dim", 4.0), ("epochs", True), ("learning_rate", "0.1"),
-        ("seed", None),
+        ("latent_dim", None),
     ])
     def test_wrongly_typed_config_value_rejected(self, tmp_path, key, value):
         _, _, path = self._roundtrip_setup(tmp_path)
         self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
         with pytest.raises(CheckpointError, match=f"config field '{key}' must be"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value, message", [
+        (2, "max_len must be >= 3"), (-1, "max_len must be >= 3"), (True, "max_len must be an int"),
+        (12.0, "max_len must be an int"), ("12", "max_len must be an int"),
+        (None, "max_len must be an int"),
+    ])
+    def test_invalid_max_len_rejected(self, tmp_path, value, message):
+        _, _, path = self._roundtrip_setup(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "max_len": value})
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: invalid checkpoint "
+                                                  rf"header: {message}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("out_b", math.nan), ("embedding", -math.inf),
+                                             ("dec.u", math.inf)])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        params, cfg, path = self._roundtrip_setup(tmp_path)
+        dict(named_tensors(params))[name].flat[-1] = value
+        save_checkpoint(params, cfg, vocab_of_size(TINY_VOCAB), path)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: tensor "
+                                                  rf"{re.escape(name)} holds a NaN or infinite"):
             load_checkpoint(path)
 
     def test_invalid_config_value_rejected(self, tmp_path):
@@ -614,11 +657,11 @@ class TestCheckpoint:
             self, tmp_path, monkeypatch):
         _, cfg, path = self._roundtrip_setup(tmp_path)
         big = replace(cfg, embed_dim=1000)
-        manifest = [[name, list(t.shape)] for name, t in named_tensors(init_params(big))]
+        manifest = [[name, list(t.shape)] for name, t in named_tensors(init_params(big, 9, 0))]
         self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], "embed_dim": 1000},
                                               "tensors": manifest})
 
-        def no_allocation(config):
+        def no_allocation(config, vocab_size):
             raise AssertionError("load_checkpoint allocated the model")
 
         monkeypatch.setattr(checkpoint, "empty_params", no_allocation)
@@ -626,10 +669,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_loading_holds_about_one_copy_of_the_model(self, tmp_path):
-        cfg = VaeConfig(vocab_size=2000, embed_dim=128, hidden_dim=256, latent_dim=64, seed=4)
-        params = init_params(cfg)
+        cfg = VaeConfig(embed_dim=128, hidden_dim=256, latent_dim=64)
+        params = init_params(cfg, 2000, 4)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
+        save_checkpoint(params, cfg, vocab_of_size(2000), path)
         model_bytes = sum(t.nbytes for _, t in named_tensors(params))
         del params
         tracemalloc.start()
@@ -642,13 +685,13 @@ class TestCheckpoint:
 
     def test_loading_draws_no_random_numbers_and_is_bit_identical(self, tmp_path, monkeypatch):
         # The model-default workload's dims; the weights differ from any seeded init.
-        cfg = VaeConfig(vocab_size=2000, embed_dim=128, hidden_dim=256, latent_dim=64, seed=4)
-        params = init_params(cfg)
+        cfg = VaeConfig(embed_dim=128, hidden_dim=256, latent_dim=64)
+        params = init_params(cfg, 2000, 4)
         rng = np.random.default_rng(8)
         for _, tensor in named_tensors(params):
             tensor[...] = rng.standard_normal(tensor.shape)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, vocab_of_size(cfg.vocab_size), path)
+        save_checkpoint(params, cfg, vocab_of_size(2000), path)
 
         def no_rng(*args, **kwargs):
             raise AssertionError("load_checkpoint drew random numbers")
@@ -661,7 +704,7 @@ class TestCheckpoint:
             assert b.flags.writeable and b.flags.c_contiguous, name
 
     def test_integer_learning_rate_accepted(self, tmp_path):
-        cfg = replace(tiny_config(seed=21), learning_rate=1)
+        cfg = replace(tiny_config(), learning_rate=1)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg), cfg, vocab_of_size(cfg.vocab_size), path)
+        save_checkpoint(init_params(cfg, TINY_VOCAB, 21), cfg, vocab_of_size(TINY_VOCAB), path)
         assert load_checkpoint(path)[1] == cfg
