@@ -10,10 +10,10 @@ alternative).
 from .corpus import (
     BootstrapStats,
     CorpusError,
-    ProvenanceEntry,
     Record,
     extract_first_sentence,
     prepare_bootstrap,
+    provenance_entry,
     read_jsonl,
     write_jsonl,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "GmmFit",
     "LossBreakdown",
     "PipelineConfig",
-    "ProvenanceEntry",
     "Record",
     "Rule",
     "RuleOutcome",
@@ -72,6 +71,7 @@ __all__ = [
     "mrr",
     "partition",
     "prepare_bootstrap",
+    "provenance_entry",
     "read_jsonl",
     "reconstruction_loss",
     "register_rule",

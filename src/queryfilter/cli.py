@@ -29,13 +29,13 @@ from .config import PipelineConfig, load_config
 from .corpus import (
     BootstrapStats,
     CorpusError,
-    ProvenanceEntry,
     add_score,
     as_rejected,
     extract_first_sentence,
     iter_lines,
     jsonl_writer,
     prepare_bootstrap,
+    provenance_entry,
     read_jsonl,
     record_line,
     spill_beside,
@@ -119,25 +119,25 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
             outcome = apply_ruleset(ruleset, first)
             if first != record.comment:
                 record.provenance.append(
-                    ProvenanceEntry("extract", "transformed", before=record.comment, after=first)
+                    provenance_entry("extract", "transformed", before=record.comment, after=first)
                 )
             record.comment = first
             for step in outcome.transforms:
                 modified[step.rule_id] += 1
                 record.provenance.append(
-                    ProvenanceEntry("rule", "transformed", rule_id=step.rule_id,
-                                    before=step.before, after=step.after)
+                    provenance_entry("rule", "transformed", rule_id=step.rule_id,
+                                     before=step.before, after=step.after)
                 )
                 record.comment = step.after
             if outcome.action == "rejected":
                 discarded[outcome.rule_id] += 1
                 record.provenance.append(
-                    ProvenanceEntry("rule", "rejected", rule_id=outcome.rule_id)
+                    provenance_entry("rule", "rejected", rule_id=outcome.rule_id)
                 )
                 reject(record)
             else:
                 record.comment = outcome.text
-                record.provenance.append(ProvenanceEntry("rule", "retained"))
+                record.provenance.append(provenance_entry("rule", "retained"))
                 yield record
 
     with jsonl_writer(cfg.paths.rule_rejects) as reject:
@@ -372,7 +372,7 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
                 provenance, record.provenance = record.provenance, []
                 spill.write(record_line(record))
                 record.provenance = provenance
-            record.provenance.append(ProvenanceEntry("semantic", "retained"))
+            record.provenance.append(provenance_entry("semantic", "retained"))
             spill.write(record_line(record))
         if missing:
             raise MissingScoreError(f"{missing} records lack scores (first: {first_missing}); "

@@ -3,7 +3,9 @@
 Records travel through the pipeline as JSONL, one object per line, with the
 required fields "id", "comment", "code" and the optional fields "provenance"
 and "score".  Unknown fields are carried along untouched so the tool can sit
-inside larger pipelines without destroying upstream metadata.
+inside larger pipelines without destroying upstream metadata.  A provenance
+entry is the same dict in memory as on disk: :func:`provenance_entry` states
+its schema, and the reader checks each entry against it.
 """
 
 from __future__ import annotations
@@ -40,40 +42,33 @@ class CorpusError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(slots=True)
-class ProvenanceEntry:
-    """One filtering event attached to a record."""
+def provenance_entry(stage: str, action: str, rule_id: str | None = None,
+                     before: str | None = None, after: str | None = None) -> dict:
+    """One filtering event attached to a record, as the JSON object it is written as:
+    keys in this order, an optional value of ``None`` left out.  ``stage`` is extract,
+    rule or semantic; ``action`` is transformed, rejected or retained."""
+    entry = {"stage": stage, "action": action}
+    if rule_id is not None:
+        entry["rule_id"] = rule_id
+    if before is not None:
+        entry["before"] = before
+    if after is not None:
+        entry["after"] = after
+    return entry
 
-    stage: str  # extract | rule | semantic
-    action: str  # transformed | rejected | retained
-    rule_id: str | None = None
-    before: str | None = None
-    after: str | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"stage": self.stage, "action": self.action}
-        if self.rule_id is not None:
-            out["rule_id"] = self.rule_id
-        if self.before is not None:
-            out["before"] = self.before
-        if self.after is not None:
-            out["after"] = self.after
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict, line_no: int) -> "ProvenanceEntry":
-        """The entry ``obj`` holds; :class:`CorpusError` if it breaks the entry schema."""
-        get = obj.get
-        stage, action = get("stage"), get("action")
-        rule_id, before, after = get("rule_id"), get("before"), get("after")
-        if (type(stage) is not str or type(action) is not str
-                or rule_id is not None and type(rule_id) is not str
-                or before is not None and type(before) is not str
-                or after is not None and type(after) is not str
-                or not obj.keys() <= cls.__dataclass_fields__.keys()):
-            raise CorpusError('provenance entries hold a string "stage" and "action", optional '
-                              'string "rule_id", "before" and "after", and no other key', line_no)
-        return cls(stage, action, rule_id, before, after)
+def _read_entry(obj: dict, line_no: int) -> dict:
+    """:func:`provenance_entry` of the values in ``obj``; :class:`CorpusError` if it
+    breaks the entry schema."""
+    try:
+        entry = provenance_entry(**obj)
+    except TypeError:  # a key outside the five, or no "stage" or "action"
+        pass
+    else:
+        if all(type(v) is str for v in entry.values()):
+            return entry
+    raise CorpusError('provenance entries hold a string "stage" and "action", optional '
+                      'string "rule_id", "before" and "after", and no other key', line_no)
 
 
 @dataclass(slots=True)
@@ -87,7 +82,7 @@ class Record:
     id: str
     comment: str
     code: str
-    provenance: list[ProvenanceEntry] = field(default_factory=list)
+    provenance: list[dict] = field(default_factory=list)
     score: float | None = None
     extra: dict = field(default_factory=dict)
 
@@ -96,7 +91,7 @@ class Record:
         if self.extra:
             obj.update(self.extra)
         if self.provenance:
-            obj["provenance"] = [p.to_dict() for p in self.provenance]
+            obj["provenance"] = self.provenance
         if self.score is not None:
             obj["score"] = self.score
         return obj
@@ -116,7 +111,7 @@ def _record_from_obj(obj: dict, line_no: int) -> Record:
     if raw_prov is not None:
         if type(raw_prov) is not list or not all(type(p) is dict for p in raw_prov):
             raise CorpusError('field "provenance" must be an array of objects', line_no)
-        provenance = [ProvenanceEntry.from_dict(p, line_no) for p in raw_prov]
+        provenance = [_read_entry(p, line_no) for p in raw_prov]
     score = get("score")
     if score is not None:
         # <= the largest float, not < inf: an integer beyond it cannot be converted

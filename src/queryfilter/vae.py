@@ -379,7 +379,8 @@ def elbo_loss(
     nll = -logp[np.arange(len(targets)), targets]
     seq_ce = np.add.reduceat(nll, np.cumsum(n_pred) - n_pred) / n_pred
     ce = float(np.sum(seq_ce))
-    kl = float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
+    with np.errstate(over="ignore"):  # a variance past exp's range: kl = inf, unread by scoring
+        kl = float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
     return LossBreakdown(ce=ce, kl=kl, total=ce + beta * kl, seq_ce=seq_ce)
 
 

@@ -223,8 +223,9 @@ class TestRuleFilterCommand:
         rejects = {r.id: r for r in read_jsonl(tmp_path / "rule_rejects.jsonl")}
         assert len(rejects) == 8
         transformed = rejects["t1"]
-        steps = [p for p in transformed.provenance if p.action == "transformed"]
-        assert any(p.rule_id == "html_tags" and p.after == "parse line" for p in steps)
+        steps = [p for p in transformed.provenance if p["action"] == "transformed"]
+        assert any(p.get("rule_id") == "html_tags" and p.get("after") == "parse line"
+                   for p in steps)
 
     def test_retained_and_rejected_are_a_partition(self, tmp_path):
         rows = TABLE_EXAMPLES + [
@@ -247,7 +248,7 @@ class TestRuleFilterCommand:
         main(["rule-filter", "--config", str(cfg), "--quiet"])
         (rec,) = read_jsonl(tmp_path / "rule_retained.jsonl")
         assert rec.comment == "Reads the configuration file."
-        assert rec.provenance[0].stage == "extract"
+        assert rec.provenance[0]["stage"] == "extract"
 
     def test_disable_rule_flag(self, tmp_path):
         write_pairs(tmp_path / "pairs.jsonl", [("s1", "quick sort")])

@@ -13,15 +13,27 @@ from queryfilter.cli import main
 from queryfilter.corpus import (
     BootstrapStats,
     CorpusError,
-    ProvenanceEntry,
     Record,
     extract_first_sentence,
     jsonl_writer,
     prepare_bootstrap,
+    provenance_entry,
     read_jsonl,
     write_jsonl,
 )
 from queryfilter.rules import default_ruleset
+
+
+_ENTRY_KEYS = ("stage", "action", "rule_id", "before", "after")
+_entry_value = st.none() | st.text("ab", max_size=2) | st.sampled_from([0, True, [None]])
+# Any keys in any order; in about half the draws a string "stage" and "action" are
+# added, so about a quarter of the objects keep the entry schema.
+_entry_objects = st.tuples(
+    st.dictionaries(st.sampled_from(_ENTRY_KEYS + ("self", "rule id", "note")), _entry_value,
+                    max_size=4),
+    st.just({}) | st.fixed_dictionaries({"stage": st.text("ab", max_size=2),
+                                         "action": st.text("ab", max_size=2)}),
+).map(lambda parts: {**parts[0], **parts[1]})
 
 
 def _write_lines(path, lines):
@@ -154,8 +166,10 @@ class TestReadJsonl:
         {"stage": "rule", "action": "x", "rule_id": 5},
         {"stage": "rule", "action": "x", "before": ["a"]},
         {"stage": "rule", "action": "x", "after": True},
+        {"stage": "rule", "action": "x", "self": "y"},
+        {"stage": "rule", "action": "x", "rule id": "urls"},
     ], ids=["unknown_key", "missing_stage", "missing_action", "int_stage", "null_action",
-            "int_rule_id", "list_before", "bool_after"])
+            "int_rule_id", "list_before", "bool_after", "self_key", "spaced_key"])
     def test_provenance_entry_off_schema_names_its_line(self, tmp_path, entry):
         f = tmp_path / "in.jsonl"
         ok = {"stage": "rule", "action": "retained"}
@@ -174,15 +188,41 @@ class TestReadJsonl:
         with pytest.raises(CorpusError, match='^line 2: field "provenance" must be an array'):
             list(read_jsonl(f))
 
-    def test_null_optional_provenance_field_reads_as_absent(self, tmp_path):
+    @pytest.mark.parametrize("entry, written", [
+        ({"stage": "rule", "action": "retained", "rule_id": None, "before": None, "after": None},
+         {"stage": "rule", "action": "retained"}),
+        ({"after": "b", "before": None, "rule_id": "urls", "action": "transformed",
+          "stage": "rule"},
+         {"stage": "rule", "action": "transformed", "rule_id": "urls", "after": "b"}),
+    ], ids=["all_null", "reverse_order"])
+    def test_null_optional_provenance_field_reads_as_absent(self, tmp_path, entry, written):
         f = tmp_path / "in.jsonl"
-        entry = {"stage": "rule", "action": "retained", "rule_id": None, "before": None,
-                 "after": None}
         _write_lines(f, [json.dumps({"id": "a", "comment": "x", "code": "y",
                                      "provenance": [entry]})])
         (rec,) = read_jsonl(f)
-        assert rec.provenance == [ProvenanceEntry("rule", "retained")]
-        assert rec.to_json_obj()["provenance"] == [{"stage": "rule", "action": "retained"}]
+        assert rec.provenance == [written]
+        assert corpus.record_line(rec) == (json.dumps({"id": "a", "comment": "x", "code": "y",
+                                                       "provenance": [written]}) + "\n").encode()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(_entry_objects)
+    def test_any_object_reads_as_its_entry_or_names_its_line(self, tmp_path_factory, entry):
+        f = tmp_path_factory.mktemp("prov") / "in.jsonl"
+        _write_lines(f, ['{"id":"a","comment":"x","code":"y"}',
+                         json.dumps({"id": "b", "comment": "x", "code": "y",
+                                     "provenance": [entry]})])
+        on_schema = (entry.keys() <= set(_ENTRY_KEYS)
+                     and type(entry.get("stage")) is str and type(entry.get("action")) is str
+                     and all(v is None or type(v) is str for v in entry.values()))
+        try:
+            _, rec = read_jsonl(f)
+        except CorpusError as exc:
+            assert not on_schema
+            assert exc.line_no == 2 and str(exc).startswith("line 2: provenance entries hold")
+        else:
+            assert on_schema
+            assert rec.provenance == [provenance_entry(**entry)]
+            assert list(rec.provenance[0]) == [k for k in _ENTRY_KEYS if entry.get(k) is not None]
 
     def test_escaped_lone_surrogate_and_non_ascii_ids_read_back(self, tmp_path):
         f = tmp_path / "in.jsonl"
@@ -197,7 +237,7 @@ class TestReadJsonl:
                "provenance": [{"stage": "rule", "action": "retained"}], "score": 1.5}
         _write_lines(f, [json.dumps(obj)])
         (rec,) = read_jsonl(f)
-        assert not hasattr(rec, "__dict__") and not hasattr(rec.provenance[0], "__dict__")
+        assert not hasattr(rec, "__dict__") and rec.provenance == obj["provenance"]
         assert rec.extra == extra
         out = tmp_path / "out.jsonl"
         write_jsonl([rec], out)
@@ -331,7 +371,7 @@ class TestSpillBeside:
 class TestRecordLine:
     def test_writes_lone_surrogates_as_their_escapes_and_reads_them_back(self, tmp_path):
         record = Record(id="\ud800", comment="é \u2028 \"x\" \\ud800", code="\udfff",
-                        provenance=[ProvenanceEntry("rule", "retained", before="\udfff")],
+                        provenance=[provenance_entry("rule", "retained", before="\udfff")],
                         extra={"k\ud800": ["\udfff"]})
         line = corpus.record_line(record)
         assert line == (b'{"id": "\\ud800", "comment": "\xc3\xa9 \xe2\x80\xa8 \\"x\\" \\\\ud800", '
@@ -397,7 +437,7 @@ class TestJsonlWriter:
 
 
 _prov_entries = st.builds(
-    ProvenanceEntry,
+    provenance_entry,
     stage=st.sampled_from(["extract", "rule", "semantic"]),
     action=st.sampled_from(["transformed", "rejected", "retained"]),
     rule_id=st.none() | st.sampled_from(["urls", "short_sentence"]),

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from queryfilter.checkpoint import save_checkpoint
 from queryfilter.cli import main
 from queryfilter.config import PipelineConfig
-from queryfilter.corpus import (ProvenanceEntry, Record, extract_first_sentence, read_jsonl,
+from queryfilter.corpus import (Record, extract_first_sentence, provenance_entry, read_jsonl,
                                 record_line)
 from queryfilter.rules import apply_ruleset, ruleset_from_config
 from queryfilter.threshold import partition
@@ -37,7 +37,7 @@ def _records(draw, score):
     """Records with distinct ids; in half the draws their text may hold lone surrogates."""
     text = st.lists(st.sampled_from(PIECES + SURROGATES * draw(st.booleans())),
                     max_size=5).map("".join)
-    entry = st.builds(ProvenanceEntry, text, st.sampled_from(["retained", "rejected"]) | text,
+    entry = st.builds(provenance_entry, text, st.sampled_from(["retained", "rejected"]) | text,
                       st.none() | text, st.none() | text, st.none() | text)
     # A list of objects can end in "retained"}], as the semantic entry does.
     nested = st.lists(st.dictionaries(text, st.just("retained") | text, max_size=2), max_size=2)
@@ -81,15 +81,15 @@ def _rule_filtered(records):
     for record in records:
         first = extract_first_sentence(record.comment)
         if first != record.comment:
-            record.provenance.append(ProvenanceEntry("extract", "transformed",
-                                                     before=record.comment, after=first))
+            record.provenance.append(provenance_entry("extract", "transformed",
+                                                      before=record.comment, after=first))
         outcome = apply_ruleset(ruleset, first)
-        record.provenance += [ProvenanceEntry("rule", "transformed", s.rule_id, s.before, s.after)
+        record.provenance += [provenance_entry("rule", "transformed", s.rule_id, s.before, s.after)
                               for s in outcome.transforms]
         record.comment = outcome.transforms[-1].after if outcome.transforms else first
         kept = outcome.action != "rejected"
-        record.provenance.append(ProvenanceEntry("rule", "retained" if kept else "rejected",
-                                                 outcome.rule_id))
+        record.provenance.append(provenance_entry("rule", "retained" if kept else "rejected",
+                                                  outcome.rule_id))
         out[kept].append(record)
     return out
 
@@ -108,8 +108,8 @@ def _partitioned(records, strategy, strip):
         if kept and strip:
             record.provenance = []
         else:
-            record.provenance.append(ProvenanceEntry("semantic",
-                                                     "retained" if kept else "rejected"))
+            record.provenance.append(provenance_entry("semantic",
+                                                      "retained" if kept else "rejected"))
         out[bool(kept)].append(record)
     return out
 
