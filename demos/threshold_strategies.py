@@ -1,4 +1,4 @@
-"""Compare the three partition strategies on a bimodal loss distribution.
+"""Compare the partition strategies on a bimodal loss distribution.
 
 Run with: python demos/threshold_strategies.py
 """
@@ -27,7 +27,6 @@ print()
 
 for strategy, kwargs in [
     ("gmm", {}),
-    ("kmeans2", {}),
     ("percentile", {"p": 0.5}),
     ("percentile", {"p": 1.0}),  # keep everything = rule-filter-only ablation
 ]:

@@ -3,7 +3,7 @@
 Stage one applies an ordered set of syntactic rules to comment text; stage
 two scores the survivors with the reconstruction loss of a GRU variational
 autoencoder trained on a bootstrap query corpus, and keeps the low-loss
-group found by a two-component Gaussian mixture (or a percentile / two-means
+group found by a two-component Gaussian mixture (or a percentile
 alternative).
 """
 

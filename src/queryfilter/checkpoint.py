@@ -56,11 +56,12 @@ def load_checkpoint(path):
     straight into the arrays of :func:`empty_params`.  The header's vocabulary
     and sizes are checked before the model is allocated.  Raises
     :class:`CheckpointError` naming ``path`` on a bad magic or another version
-    (retrain an older file), a truncated file or trailing bytes, a header
+    (retrain an older file), a truncated file or trailing bytes, a header that
+    is not UTF-8 JSON within the parser's digit and nesting limits, a header
     without its config, vocabulary, max_len or tensors, a vocabulary that is
-    not a list of unique strings starting with the reserved tokens, an
-    invalid max_len or config, a manifest other than the model's ``[name,
-    shape]`` pairs, a model too large to allocate, or a non-finite value.
+    not a list of unique strings starting with the reserved tokens, an invalid
+    max_len or config, a manifest other than the model's ``[name, shape]``
+    pairs, a model too large to allocate, or a non-finite value.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -75,7 +76,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated checkpoint header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # also past the parser's digit or depth limits
             raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
         try:
             tokens = header["vocabulary"]
@@ -97,8 +98,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated tensor payload of {declared} bytes")
         try:
             params = empty_params(config, vocab.size)
-        except (MemoryError, ValueError) as exc:  # ValueError: too large for numpy to index
-            raise CheckpointError(f"{path}: cannot allocate the header's model: {exc}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         tensors = named_tensors(params)
         if manifest != [[name, list(t.shape)] for name, t in tensors]:
             raise CheckpointError(layout)

@@ -340,20 +340,19 @@ def run_score(cfg: PipelineConfig, jobs: int = 1, quiet: bool = False) -> int:
 # ----------------------------------------------------------------------
 
 
-def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bool = False) -> dict:
+def run_partition(cfg: PipelineConfig, quiet: bool = False) -> dict:
     """Split scored records at the fitted threshold, reading them once.
 
     Pass 1 keeps each record's score in an ``array('d')``, and only for the
     percentile strategy, whose ties go by id, its id in a list.  It spills
     the record's :func:`record_line` as a retained record to an unnamed file
-    beside the retained output (:func:`spill_beside`); with
-    ``strip_provenance`` it spills the stripped line first, so both forms
-    are at hand.  The fit adds a keep mask (1 B per record); the EM fit
-    works in fixed-size chunks, and only its quartiles take a transient copy
-    of the scores.  Pass 2 copies each spilled line's bytes to the retained
-    output, or with its semantic entry rejected to the rejects output.  The
-    stage peaks at about 20 B per record with the gmm strategy, and at about
-    210 B with percentile, whose sort keys each position by its (score, id).
+    beside the retained output (:func:`spill_beside`).  The fit adds a keep
+    mask (1 B per record); the EM fit works in fixed-size chunks, and only
+    its quartiles take a transient copy of the scores.  Pass 2 copies each
+    spilled line's bytes to the retained output, or with its semantic entry
+    rejected to the rejects output.  The stage peaks at about 20 B per
+    record with the gmm strategy, and at about 210 B with percentile, whose
+    sort keys each position by its (score, id).
     """
     _check_outputs(cfg.paths, "partition")
     ids = [] if cfg.threshold.strategy == "percentile" else None
@@ -368,10 +367,6 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
                 missing += 1
             else:
                 scores.append(record.score)
-            if strip_provenance:
-                provenance, record.provenance = record.provenance, []
-                spill.write(record_line(record))
-                record.provenance = provenance
             record.provenance.append(provenance_entry("semantic", "retained"))
             spill.write(record_line(record))
         if missing:
@@ -380,13 +375,11 @@ def run_partition(cfg: PipelineConfig, strip_provenance: bool = False, quiet: bo
         keep, report = partition(ids, scores, **dataclasses.asdict(cfg.threshold))
 
         spill.seek(0)
-        # Each record's (line if retained, line if rejected, before its action is swapped)
-        both = zip(spill, spill) if strip_provenance else ((line, line) for line in spill)
         with atomic_open(cfg.paths.semantic_rejects, "wb") as rejects, \
                 atomic_open(cfg.paths.retained, "wb") as retained:
-            for kept, (retained_line, line) in zip(keep, both):
+            for kept, line in zip(keep, spill):
                 if kept:
-                    retained.write(retained_line)
+                    retained.write(line)
                 else:
                     rejects.write(as_rejected(line))
     _write_json(report, cfg.paths.report)
@@ -461,16 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", dest="scored")
 
     p = sub.add_parser("partition", help="split scored records into retained/rejected")
-    p.set_defaults(handler=lambda args: run_partition(_load_cfg(args), args.strip_provenance,
-                                                      args.quiet))
+    p.set_defaults(handler=lambda args: run_partition(_load_cfg(args), args.quiet))
     _common_flags(p, "accepted and ignored: this stage runs in one process")
     p.add_argument("--input", dest="scored")
     p.add_argument("--retained")
     p.add_argument("--rejects", dest="semantic_rejects")
     p.add_argument("--report")
-    p.add_argument("--strategy", choices=["gmm", "percentile", "kmeans2"])
+    p.add_argument("--strategy", choices=["gmm", "percentile"])
     p.add_argument("--p", type=float, help="retained fraction for the percentile strategy")
-    p.add_argument("--strip-provenance", action="store_true")
 
     p = sub.add_parser("run", help="run all stages end to end")
     p.set_defaults(handler=_run_all)

@@ -41,7 +41,7 @@ class TokenizerConfig:
 
 @dataclass
 class ThresholdConfig:  # the keyword arguments of threshold.partition
-    strategy: str = "gmm"  # gmm | percentile | kmeans2
+    strategy: str = "gmm"  # gmm | percentile
     p: float = 0.5
     max_iter: int = 200
     tol: float = 1e-8

@@ -32,8 +32,9 @@ def answered_at_k(ranks: Sequence[int | None], k: int) -> int:
 def sample_size(population: float, confidence_z: float = 1.96, p: float = 0.5, c: float = 0.05) -> int:
     """Cochran sample size with finite-population correction, rounded up.
 
-    ``population`` may be ``math.inf`` for the uncorrected limit; NaN is
-    rejected like every other bad argument, naming it.
+    ``population`` may be ``math.inf`` for the uncorrected limit.  NaN, and a
+    z and c whose z^2 p (1 - p) / c^2 is not finite and positive, are
+    rejected like every other bad argument, naming them.
     """
     if not population >= 1:
         raise ValueError(f"population must be >= 1, got {population}")
@@ -42,7 +43,10 @@ def sample_size(population: float, confidence_z: float = 1.96, p: float = 0.5, c
     for name, value in (("confidence_z", confidence_z), ("c", c)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    ss0 = confidence_z * confidence_z * p * (1.0 - p) / (c * c)
+    ss0 = confidence_z * confidence_z * p * (1.0 - p) / (c * c) if c * c else math.inf
+    if not 0.0 < ss0 < math.inf:
+        raise ValueError(f"confidence_z and c must give a finite positive z^2 p (1 - p) / c^2, "
+                         f"got confidence_z {confidence_z} and c {c}")
     ss = ss0 / (1.0 + (ss0 - 1.0) / population)
     return int(math.ceil(ss))
 

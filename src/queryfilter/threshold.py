@@ -5,8 +5,8 @@ reconstruction losses by expectation-maximization and cuts at the point
 where the posterior responsibility of the low-loss component drops to 0.5,
 solved in closed form: between the two means when a crossing lies there,
 else at the upper crossing when the low-loss component is the narrower one.
-A fit with neither is refused.  Percentile and two-means partitions are
-provided as alternatives.
+A fit with neither is refused.  A percentile partition is the alternative;
+at p = 1 it keeps every record, the rule-filter-only ablation.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def fit_em_gmm(
         raise ValueError(
             "EM-GMM needs at least 10 loss samples; use the percentile strategy instead"
         )
-    lowest, highest = _finite_range(x, "EM-GMM")
+    lowest, highest = _finite_range(x)
     if lowest == highest:
         raise ValueError(
             "EM-GMM needs at least two distinct loss values; use the percentile strategy instead"
@@ -179,14 +179,14 @@ def _quartiles(x: np.ndarray) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _finite_range(x: np.ndarray, what: str) -> tuple[float, float]:
+def _finite_range(x: np.ndarray) -> tuple[float, float]:
     """``(min, max)`` of ``x``; :class:`ValueError` if any value is NaN or infinite."""
     lowest, highest = float(x.min()), float(x.max())  # NaN propagates into both
     if math.isfinite(lowest) and math.isfinite(highest):
         return lowest, highest
     bad = ~np.isfinite(x)
     raise ValueError(
-        f"{what} needs finite losses, but {int(np.count_nonzero(bad))} of {x.size} are NaN "
+        f"EM-GMM needs finite losses, but {int(np.count_nonzero(bad))} of {x.size} are NaN "
         f"or infinite (the first at position {int(np.argmax(bad))})"
     )
 
@@ -264,43 +264,20 @@ def _weighted_square(resp: np.ndarray, x: np.ndarray, mu: float, out: np.ndarray
     return np.multiply(resp, out, out=out)
 
 
-def kmeans_two(losses: Sequence[float], max_iter: int = 200):
-    """Lloyd's algorithm on 1-D losses with k=2, centers seeded at min/max.
-
-    Returns (low_center, high_center); assignment ties go to the low center.
-    ``max_iter`` must be at least 1 and every loss finite; otherwise
-    :class:`ValueError`.
-    """
-    check_partition_settings("kmeans2", max_iter=max_iter)
-    x = np.asarray(losses, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("kmeans needs at least one sample")
-    c_low, c_high = _finite_range(x, "kmeans")
-    for _ in range(max_iter):
-        boundary = 0.5 * (c_low + c_high)
-        low_mask = x <= boundary
-        new_low = float(x[low_mask].mean()) if low_mask.any() else c_low
-        new_high = float(x[~low_mask].mean()) if (~low_mask).any() else c_high
-        if new_low == c_low and new_high == c_high:
-            break
-        c_low, c_high = new_low, new_high
-    return c_low, c_high
-
-
 def check_partition_settings(strategy: str, p: float | None = None, max_iter: int = 200,
                              tol: float = 1e-8) -> None:
     """Raise ``ValueError`` on settings that :func:`partition` refuses whatever the losses.
 
-    Only ``percentile`` reads ``p``, ``gmm`` and ``kmeans2`` ``max_iter``, and ``gmm`` ``tol``.
+    ``percentile`` reads only ``p``, and ``gmm`` only ``max_iter`` and ``tol``.
     """
-    if strategy not in ("gmm", "percentile", "kmeans2"):
-        raise ValueError(f'unknown partition strategy "{strategy}"')
     if strategy == "percentile":
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("percentile strategy needs p in (0, 1]")
+    elif strategy != "gmm":
+        raise ValueError(f'unknown partition strategy "{strategy}"')
     elif max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if strategy == "gmm" and not 0.0 <= tol < math.inf:
+    elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
@@ -318,8 +295,7 @@ def partition(
     such as ``array('d')`` is read without copying.  Strategies: ``gmm``
     retains losses at or below the mixture's :func:`dividing_point`; ``percentile``
     retains the floor(p * n) smallest losses with boundary ties broken by
-    ascending id; ``kmeans2`` retains the cluster around the lower center.
-    Only ``percentile`` reads the ids; the others take ``ids=None``.
+    ascending id.  Only ``percentile`` reads the ids; ``gmm`` takes ``ids=None``.
     Returns ``(keep, report)``: a bool mask, True at each retained input
     position, and a report of the strategy parameters and counts.
     """
@@ -348,7 +324,7 @@ def partition(
             em_iterations=len(fit.loglik_trace),
             converged=fit.converged,
         )
-    elif strategy == "percentile":
+    else:  # percentile
         if ids is None:
             raise ValueError("the percentile strategy breaks ties by id and needs the ids")
         keep_count = int(math.floor(p * n))
@@ -357,11 +333,6 @@ def partition(
         keep_mask[by_loss[:keep_count]] = True
         boundary = losses[by_loss[keep_count - 1]] if keep_count else None
         report.update(p=p, boundary_loss=None if boundary is None else float(boundary))
-    else:  # kmeans2
-        c_low, c_high = kmeans_two(losses, max_iter=max_iter)
-        boundary = 0.5 * (c_low + c_high)
-        keep_mask = losses <= boundary
-        report.update(threshold=boundary, center_low=c_low, center_high=c_high)
 
     n_retained = int(np.count_nonzero(keep_mask))
     report["n_retained"] = n_retained

@@ -143,24 +143,31 @@ def named_tensors(params: VaeParams) -> list[tuple[str, np.ndarray]]:
 
 
 def empty_params(config: VaeConfig, vocab_size: int) -> VaeParams:
-    """Uninitialized tensors of the model's shapes, for a loader to fill."""
+    """Uninitialized tensors of the model's shapes, for a loader to fill.
+
+    A model too large to allocate raises :class:`ValueError` naming its sizes.
+    """
     v, e, h, k = vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
 
     def gru(in_dim: int) -> GruWeights:
         return GruWeights(np.empty((3 * h, in_dim)), np.empty((3 * h, h)), np.empty(3 * h))
 
-    return VaeParams(
-        embedding=np.empty((v, e)),
-        enc_fwd=gru(e),
-        enc_bwd=gru(e),
-        latent_w=np.empty((2 * k, h)),
-        latent_b=np.empty(2 * k),
-        dec_init_w=np.empty((h, k)),
-        dec_init_b=np.empty(h),
-        dec=gru(e),
-        out_w=np.empty((v, h)),
-        out_b=np.empty(v),
-    )
+    try:
+        return VaeParams(
+            embedding=np.empty((v, e)),
+            enc_fwd=gru(e),
+            enc_bwd=gru(e),
+            latent_w=np.empty((2 * k, h)),
+            latent_b=np.empty(2 * k),
+            dec_init_w=np.empty((h, k)),
+            dec_init_b=np.empty(h),
+            dec=gru(e),
+            out_w=np.empty((v, h)),
+            out_b=np.empty(v),
+        )
+    except (MemoryError, ValueError):  # ValueError: too large for numpy to index
+        raise ValueError(f"cannot allocate a model with embed_dim {e}, hidden_dim {h}, "
+                         f"latent_dim {k} and {v} vocabulary tokens") from None
 
 
 def init_params(config: VaeConfig, vocab_size: int, seed: int) -> VaeParams:

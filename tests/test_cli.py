@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import struct
@@ -565,7 +566,6 @@ def test_stages_load_openssl_and_multiprocessing_only_when_they_use_them(trained
         "rule-filter": ["rule-filter"],
         "bootstrap": ["bootstrap"],
         "partition gmm": ["partition", "--strategy", "gmm"],
-        "partition kmeans2": ["partition", "--strategy", "kmeans2"],
         "partition percentile": ["partition", "--strategy", "percentile", "--p", "0.5"],
         "score --jobs 1": ["score"],
         "score --jobs 2": ["score", "--jobs", "2"],
@@ -667,6 +667,32 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.ini"]
 
+    @pytest.mark.parametrize("key, value", [("embed_dim", 100_000_000),
+                                            ("hidden_dim", 1_000_000_000),
+                                            ("latent_dim", 30_000_000)])
+    def test_model_too_large_to_allocate_exits_1_naming_its_sizes(
+            self, tmp_path, monkeypatch, capsys, key, value):
+        (tmp_path / "bootstrap.txt").write_text("convert string to int\nread a file\n",
+                                                encoding="utf-8")
+        dims = {"embed_dim": 8, "hidden_dim": 12, "latent_dim": 4}
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(f"{key} = {dims[key]}", f"{key} = {value}"))
+        dims[key] = value
+        real_empty = np.empty
+
+        # Refuses large arrays as the OS would, so that the test never asks it for them.
+        def empty(shape, *args, **kwargs):
+            if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**8:
+                raise MemoryError(f"cannot allocate an array of shape {shape}")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot allocate a model with embed_dim {dims['embed_dim']}, hidden_dim "
+            f"{dims['hidden_dim']}, latent_dim {dims['latent_dim']} and 11 vocabulary tokens\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bootstrap.txt", "pipeline.ini"]
+
     def test_checkpoint_takes_max_len_from_tokenizer(self, trained_pipeline):
         tmp_path, _ = trained_pipeline  # [tokenizer] max_len = 12
         assert load_checkpoint(tmp_path / "model.ckpt")[2].max_len == 12
@@ -749,6 +775,20 @@ class TestScoreCommand:
         rewrite_header(tmp_path / "model.ckpt", lambda h: {**h, "tensors": 5})
         assert main(["score", "--config", str(cfg), "--quiet"]) == 4
         assert "[name, shape] pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [b'"pad": ' + b"9" * 5000,
+                                       b'"pad": ' + b"[" * 100_000 + b"]" * 100_000],
+                             ids=["5000-digit-integer", "100000-deep-nesting"])
+    def test_header_past_the_json_parsers_limits_exits_4(self, trained_pipeline, capsys, field):
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        raw = blob[12 : 11 + header_len] + b", " + field + b"}"  # the header's last byte is "}"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err == f"error: {ckpt}: corrupt checkpoint header\n"
+        assert not (tmp_path / "scored.jsonl").exists()
 
     @pytest.mark.parametrize("key, value", [("embed_dim", 10**9), ("hidden_dim", 300_000)])
     def test_header_claiming_too_large_a_model_exits_4(self, trained_pipeline, capsys, key,
@@ -986,8 +1026,9 @@ class TestPartitionCommand:
         ("", ["--strategy", "percentile", "--p", "2"], "percentile strategy needs p in (0, 1]"),
         ("", ["--strategy", "percentile", "--p", "0"], "percentile strategy needs p in (0, 1]"),
         ("strategy = median", [], 'unknown partition strategy "median"'),
-        ("max_iter = 0", ["--strategy", "kmeans2"], "max_iter must be at least 1, got 0"),
+        ("max_iter = 0", [], "max_iter must be at least 1, got 0"),
         ("tol = nan", [], "tol must be a finite number >= 0, got nan"),
+        ("strategy = kmeans2", [], 'unknown partition strategy "kmeans2"'),  # deleted strategy
     ])
     def test_bad_threshold_setting_exits_1_before_the_input_is_read(
             self, tmp_path, capsys, extra, flags, message):
@@ -1019,8 +1060,7 @@ class TestPartitionCommand:
         assert not (tmp_path / "retained.jsonl").exists()
 
     @pytest.mark.parametrize("setting, strategy", [("max_iter = 0", "gmm"),
-                                                   ("tol = -1", "gmm"),
-                                                   ("max_iter = 0", "kmeans2")])
+                                                   ("tol = -1", "gmm")])
     def test_fit_that_cannot_iterate_exits_1(self, tmp_path, capsys, setting, strategy):
         lines = [json.dumps({"id": f"r{i}", "comment": "c", "code": "x",
                              "score": (1.0 if i % 2 else 5.0) + 0.01 * i})
@@ -1120,9 +1160,8 @@ class TestPartitionCommand:
         assert output_bytes(tmp_path, outputs) == before
         assert sorted(os.listdir(tmp_path)) == listing
 
-    @pytest.mark.parametrize("flags", [[], ["--strip-provenance"],
-                                       ["--strategy", "percentile", "--p", "0.4"]],
-                             ids=["gmm", "strip_provenance", "percentile"])
+    @pytest.mark.parametrize("flags", [[], ["--strategy", "percentile", "--p", "0.4"]],
+                             ids=["gmm", "percentile"])
     def test_fifo_input_is_read_once(self, tmp_path, flags):
         write_scored(tmp_path / "scored.jsonl", 200)
         cfg = small_config(tmp_path)
@@ -1183,21 +1222,6 @@ class TestPartitionCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         for key in ("pi", "mu_q", "sigma_q", "mu_uq", "sigma_uq", "threshold"):
             assert key in report
-
-    def test_strip_provenance(self, trained_pipeline):
-        tmp_path, cfg = trained_pipeline
-        main(["score", "--config", str(cfg), "--quiet"])
-        flags = ["partition", "--config", str(cfg), "--quiet", "--strategy", "percentile",
-                 "--p", "1.0"]
-        assert main(flags) == 0
-        records = list(read_jsonl(tmp_path / "retained.jsonl"))
-        for rec in records:
-            rec.provenance = []
-        write_jsonl(records, tmp_path / "expected.jsonl")
-        assert main([*flags, "--strip-provenance"]) == 0
-        for rec in read_jsonl(tmp_path / "retained.jsonl"):
-            assert rec.provenance == []
-        assert (tmp_path / "retained.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 # Each stage's output flags, with the file that small_config names for each.
@@ -1359,8 +1383,10 @@ class TestUtilityCommands:
         (["nan"], "population"),
         (["100", "--z", "nan"], "confidence_z"),
         (["100", "--c", "nan"], "c"),
+        (["100", "--z", "1e200"], "confidence_z and c"),  # z * z overflows
+        (["100", "--c", "1e-300"], "confidence_z and c"),  # c * c underflows to 0
     ])
-    def test_sample_size_nan_exits_1_naming_the_argument(self, capsys, argv, name):
+    def test_sample_size_nan_or_overflow_exits_1_naming_the_argument(self, capsys, argv, name):
         assert main(["sample-size", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} must ") and captured.out == ""
@@ -1413,7 +1439,7 @@ class TestArgumentParsing:
         ("--p", "0.25", "p", 0.25),
     ])
     def test_partition_threshold_flag_sets_its_field(self, tmp_path, flag, value, field, expected):
-        cfg_path = small_config(tmp_path, extra="[threshold]\nstrategy = kmeans2\np = 0.75\n")
+        cfg_path = small_config(tmp_path, extra="[threshold]\nstrategy = gmm\np = 0.75\n")
         configured = load_config(cfg_path)
         cfg = _load_cfg(build_parser().parse_args(["partition", "--config", str(cfg_path), flag, value]))
         assert cfg.threshold == dataclasses.replace(configured.threshold, **{field: expected})
@@ -1426,12 +1452,18 @@ class TestArgumentParsing:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_score_takes_no_vocabulary_flag(self, capsys):
-        # score reads the vocabulary from the checkpoint.
+    # score reads the vocabulary from the checkpoint; partition has neither a kmeans2
+    # strategy nor a provenance-free output form.
+    @pytest.mark.parametrize("argv", [["score", "--vocabulary", "vocab.txt"],
+                                      ["partition", "--strategy", "kmeans2"],
+                                      ["partition", "--strip-provenance"]],
+                             ids=["score-vocabulary", "partition-kmeans2",
+                                  "partition-strip-provenance"])
+    def test_flag_or_value_that_the_stage_does_not_take_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["score", "--vocabulary", "vocab.txt"])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert "--vocabulary" in capsys.readouterr().err
+        assert argv[1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bootstrap", "train"])
     def test_stages_without_a_pool_take_no_jobs_flag(self, command, capsys):

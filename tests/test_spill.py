@@ -100,16 +100,12 @@ def _scored(records, model):
     return [dataclasses.replace(r, score=float(s)) for r, s in zip(records, scores)]
 
 
-def _partitioned(records, strategy, strip):
+def _partitioned(records):
     """``{retained: records, rejected: records}`` as partition writes them at p = 0.5."""
-    keep, _ = partition([r.id for r in records], [r.score for r in records], strategy, p=0.5)
+    keep, _ = partition([r.id for r in records], [r.score for r in records], "percentile", p=0.5)
     out = {True: [], False: []}
     for record, kept in zip(records, keep):
-        if kept and strip:
-            record.provenance = []
-        else:
-            record.provenance.append(provenance_entry("semantic",
-                                                      "retained" if kept else "rejected"))
+        record.provenance.append(provenance_entry("semantic", "retained" if kept else "rejected"))
         out[bool(kept)].append(record)
     return out
 
@@ -125,11 +121,10 @@ def _score_argv(tmp, root):
             "--checkpoint", str(root / "model.ckpt"), "--output", str(tmp / "out.jsonl")]
 
 
-def _partition_argv(tmp, strategy, strip):
+def _partition_argv(tmp):
     return ["partition", "--quiet", "--input", str(tmp / "in.jsonl"),
             "--retained", str(tmp / "retained.jsonl"), "--rejects", str(tmp / "rejects.jsonl"),
-            "--report", str(tmp / "report.json"), "--strategy", strategy, "--p", "0.5",
-            *(["--strip-provenance"] if strip else [])]
+            "--report", str(tmp / "report.json"), "--strategy", "percentile", "--p", "0.5"]
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +157,12 @@ def test_score_writes_each_record_with_its_score(tmp_path_factory, model, record
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_records(_score), st.sampled_from([b"\n", b"\r\n"]),
-       st.sampled_from(["percentile", "kmeans2"]), st.booleans())
-def test_partition_writes_each_record_with_its_action(tmp_path_factory, records, newline,
-                                                      strategy, strip):
+@given(_records(_score), st.sampled_from([b"\n", b"\r\n"]))
+def test_partition_writes_each_record_with_its_action(tmp_path_factory, records, newline):
     tmp = tmp_path_factory.mktemp("partition")
     _write_input(tmp / "in.jsonl", records, newline)
-    code, err = _run(_partition_argv(tmp, strategy, strip))
-    out = _partitioned(list(read_jsonl(tmp / "in.jsonl")), strategy, strip)
+    code, err = _run(_partition_argv(tmp))
+    out = _partitioned(list(read_jsonl(tmp / "in.jsonl")))
     _check({tmp / "retained.jsonl": out[True], tmp / "rejects.jsonl": out[False]}, code, err)
 
 
@@ -182,7 +175,7 @@ SURROGATE_LINES = b"".join(
     for i, word in enumerate([b"csv", b"json", b"text", b"log"]))
 
 
-@pytest.mark.parametrize("stage", ["rule-filter", "score", "percentile", "kmeans2", "strip"])
+@pytest.mark.parametrize("stage", ["rule-filter", "score", "percentile"])
 def test_lone_surrogate_escapes_pass_every_stage(tmp_path, model, stage):
     (tmp_path / "in.jsonl").write_bytes(SURROGATE_LINES)
     records = list(read_jsonl(tmp_path / "in.jsonl"))
@@ -195,9 +188,8 @@ def test_lone_surrogate_escapes_pass_every_stage(tmp_path, model, stage):
         code, err = _run(_score_argv(tmp_path, model[0]))
         expected = {tmp_path / "out.jsonl": _scored(records, model)}
     else:
-        strategy, strip = ("percentile", True) if stage == "strip" else (stage, False)
-        code, err = _run(_partition_argv(tmp_path, strategy, strip))
-        out = _partitioned(records, strategy, strip)
+        code, err = _run(_partition_argv(tmp_path))
+        out = _partitioned(records)
         expected = {tmp_path / "retained.jsonl": out[True], tmp_path / "rejects.jsonl": out[False]}
     _check(expected, code, err)
     assert b'"id": "0\\ud800"' in b"".join(path.read_bytes() for path in expected)

@@ -14,7 +14,6 @@ from queryfilter.threshold import (
     _quartiles,
     dividing_point,
     fit_em_gmm,
-    kmeans_two,
     partition,
 )
 
@@ -381,27 +380,6 @@ class TestDecisionThreshold:
         assert (mu_q < t < mu_uq) == between
 
 
-class TestKmeansTwo:
-    def test_separated_clusters(self):
-        low, high = kmeans_two([1.0, 1.1, 0.9, 9.0, 9.1])
-        assert abs(low - 1.0) < 0.2
-        assert abs(high - 9.05) < 0.2
-
-    def test_constant_data(self):
-        low, high = kmeans_two([3.0] * 5)
-        assert low == high == 3.0
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_rejected(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            kmeans_two([1.0, 1.1, 0.9, 9.0, 9.1], max_iter=max_iter)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_losses_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"1 of 3 are NaN or infinite \(the first at position 1\)"):
-            kmeans_two([1.0, bad, 3.0])
-
-
 class TestPartition:
     def test_gmm_separated_clusters(self):
         # doubled version of the {1,1,1,9,9} example to satisfy the sample floor
@@ -446,13 +424,6 @@ class TestPartition:
             with pytest.raises(ValueError):
                 partition(*split(scored), strategy="percentile", p=bad)
 
-    def test_kmeans_lower_cluster(self):
-        scored = [(f"lo{i}", 1.0 + 0.1 * i) for i in range(5)] + [
-            (f"hi{i}", 8.0 + 0.1 * i) for i in range(5)
-        ]
-        retained, _, _ = partition_ids(scored, strategy="kmeans2")
-        assert set(retained) == {f"lo{i}" for i in range(5)}
-
     def test_keep_mask_matches_retained_and_compact_losses_accepted(self):
         ids = [f"r{i}" for i in range(10)]
         losses = array("d", [1.0 + 0.01 * i if i % 2 else 9.0 + 0.01 * i for i in range(10)])
@@ -466,10 +437,9 @@ class TestPartition:
     def test_ids_are_read_only_by_the_percentile_strategy(self):
         ids = [f"r{i}" for i in range(20)]
         losses = array("d", [1.0 + 0.01 * i if i % 3 else 6.0 + 0.01 * i for i in range(20)])
-        for strategy in ("gmm", "kmeans2"):
-            keep, report = partition(None, losses, strategy=strategy)
-            expected_keep, expected_report = partition(ids, losses, strategy=strategy)
-            assert keep.tolist() == expected_keep.tolist() and report == expected_report
+        keep, report = partition(None, losses, strategy="gmm")
+        expected_keep, expected_report = partition(ids, losses, strategy="gmm")
+        assert keep.tolist() == expected_keep.tolist() and report == expected_report
         with pytest.raises(ValueError, match="needs the ids"):
             partition(None, losses, strategy="percentile", p=0.5)
 
@@ -482,7 +452,7 @@ class TestPartition:
             partition([], [], strategy="gmm")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("strategy", ["gmm", "percentile", "kmeans2"])
+    @pytest.mark.parametrize("strategy", ["gmm", "percentile"])
     def test_non_finite_loss_rejected(self, strategy, bad):
         scored = [(f"r{i}", 1.0 + i) for i in range(20)] + [("bad", bad)]
         with pytest.raises(ValueError, match="finite"):
@@ -494,12 +464,11 @@ class TestPartition:
         losses = np.abs(losses)
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         by_id = dict(scored)
-        for strategy in ("gmm", "kmeans2"):
-            retained, discarded, _ = partition_ids(scored, strategy=strategy)
-            assert set(retained) | set(discarded) == set(by_id)
-            assert not set(retained) & set(discarded)
-            if retained and discarded:
-                assert max(by_id[i] for i in retained) <= min(by_id[i] for i in discarded)
+        retained, discarded, _ = partition_ids(scored, strategy="gmm")
+        assert set(retained) | set(discarded) == set(by_id)
+        assert not set(retained) & set(discarded)
+        if retained and discarded:
+            assert max(by_id[i] for i in retained) <= min(by_id[i] for i in discarded)
 
     def test_gmm_retained_fraction_tracks_component_weight(self):
         rng = np.random.default_rng(20)
@@ -515,7 +484,7 @@ class TestPartition:
         losses = np.concatenate([rng.normal(1, 0.4, 30), rng.normal(5, 0.6, 30)])
         scored = [(f"r{i}", float(v)) for i, v in enumerate(losses)]
         shuffled = scored[::-1]
-        for strategy, kwargs in (("gmm", {}), ("percentile", {"p": 0.4}), ("kmeans2", {})):
+        for strategy, kwargs in (("gmm", {}), ("percentile", {"p": 0.4})):
             a, _, _ = partition_ids(scored, strategy=strategy, **kwargs)
             b, _, _ = partition_ids(shuffled, strategy=strategy, **kwargs)
             assert set(a) == set(b)
