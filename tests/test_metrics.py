@@ -202,3 +202,9 @@ class TestSampleSize:
         args = {"population": 100, **kwargs}
         with pytest.raises(ValueError, match=rf"^{name} must "):
             sample_size(**args)
+
+    @pytest.mark.parametrize("kwargs", [{"confidence_z": 1e200}, {"c": 1e-300}])
+    def test_z_and_c_whose_ratio_overflows_rejected_naming_both(self, kwargs):
+        # z^2 overflows to inf, or c^2 underflows to 0, though each argument is finite.
+        with pytest.raises(ValueError, match=r"^confidence_z and c must "):
+            sample_size(100, **kwargs)

@@ -443,9 +443,16 @@ class TestPartition:
         with pytest.raises(ValueError, match="needs the ids"):
             partition(None, losses, strategy="percentile", p=0.5)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            partition(["a"], [1.0], strategy="median")
+    @pytest.mark.parametrize("strategy", ["median", "kmeans2"])
+    def test_unknown_strategy(self, strategy):
+        with pytest.raises(ValueError, match=f'^unknown partition strategy "{strategy}"$'):
+            partition(["a"], [1.0], strategy=strategy)
+
+    @pytest.mark.parametrize("setting", [{"max_iter": 0}, {"tol": math.nan}])
+    def test_percentile_ignores_the_gmm_settings(self, setting):
+        retained, discarded, _ = partition_ids([("b", 2.0), ("a", 1.0)], strategy="percentile",
+                                               p=0.5, **setting)
+        assert (retained, discarded) == (["a"], ["b"])
 
     def test_empty_input(self):
         with pytest.raises(ValueError):

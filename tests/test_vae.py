@@ -24,6 +24,7 @@ from queryfilter.vae import (
     _log_softmax_,
     decoder_forward,
     elbo_loss,
+    empty_params,
     encoder_forward,
     init_params,
     latent,
@@ -423,6 +424,33 @@ class TestConfig:
         cfg = tiny_config(embed_dim=1, hidden_dim=1, latent_dim=1, epochs=1, batch_size=1,
                           learning_rate=1, kl_anneal_steps=0)
         assert replace(cfg, learning_rate=5e-324).learning_rate == 5e-324
+
+
+class TestEmptyParams:
+    """A model too large to allocate raises ValueError naming its sizes."""
+
+    @staticmethod
+    def _message(config: VaeConfig) -> str:
+        return (f"cannot allocate a model with embed_dim {config.embed_dim}, hidden_dim "
+                f"{config.hidden_dim}, latent_dim {config.latent_dim} and {TINY_VOCAB} "
+                f"vocabulary tokens")
+
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "latent_dim"])
+    def test_shape_numpy_cannot_index_named(self, key):
+        # numpy refuses a 2**62 dimension before it asks for memory.
+        config = tiny_config(**{key: 2**62})
+        with pytest.raises(ValueError) as raised:
+            empty_params(config, TINY_VOCAB)
+        assert str(raised.value) == self._message(config)
+
+    def test_memory_error_named(self, monkeypatch):
+        def empty(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+
+        monkeypatch.setattr(np, "empty", empty)
+        with pytest.raises(ValueError) as raised:
+            empty_params(tiny_config(), TINY_VOCAB)
+        assert str(raised.value) == self._message(tiny_config())
 
 
 def vocab_of_size(size: int, max_len: int = 20) -> Vocabulary:
