@@ -3,7 +3,7 @@
 Run with: python demos/rule_filtering.py
 """
 
-from queryfilter import apply_ruleset, default_ruleset, extract_first_sentence, register_rule
+from queryfilter import Rule, apply_ruleset, builtin_rules, extract_first_sentence
 
 # ---------------------------------------------------------------------------
 # The kind of text that shows up as "queries" in comment-mined corpora.
@@ -21,14 +21,14 @@ comments = [
     "convert string to int",
 ]
 
-ruleset = default_ruleset()
-print("default rule order:", ", ".join(ruleset.rule_ids()))
+rules = builtin_rules()
+print("builtin rule order:", ", ".join(rule.id for rule in rules))
 print()
 
 for comment in comments:
     # The pipeline looks only at the summary sentence of a doc comment.
     first = extract_first_sentence(comment)
-    outcome = apply_ruleset(ruleset, first)
+    outcome = apply_ruleset(rules, first)
     shown = comment.replace("\n", "\\n")
     if outcome.action == "rejected":
         print(f"  {shown!r:60} -> rejected by {outcome.rule_id}")
@@ -38,12 +38,12 @@ for comment in comments:
         print(f"  {shown!r:60} -> kept")
 
 # ---------------------------------------------------------------------------
-# The ruleset is extensible: reject anything mentioning an issue tracker id.
+# A ruleset is a tuple: append a rule that rejects any issue tracker id.
 # ---------------------------------------------------------------------------
 import re
 
 issue_re = re.compile(r"\b[A-Z]{2,}-\d+\b")
-extended = register_rule(ruleset, "issue_ids", "reject", lambda t: bool(issue_re.search(t)))
+extended = rules + (Rule("issue_ids", "reject", lambda t: bool(issue_re.search(t))),)
 
 print()
 outcome = apply_ruleset(extended, "fix the padding logic per JIRA-4417")

@@ -17,15 +17,7 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .rules import (
-    Rule,
-    RuleOutcome,
-    Ruleset,
-    apply_ruleset,
-    default_ruleset,
-    register_rule,
-    ruleset_from_config,
-)
+from .rules import Rule, RuleOutcome, apply_ruleset, builtin_rules
 from .vocab import Vocabulary, build_vocab, tokenize
 from .vae import (
     LossBreakdown,
@@ -53,7 +45,6 @@ __all__ = [
     "Record",
     "Rule",
     "RuleOutcome",
-    "Ruleset",
     "TrainingError",
     "VaeConfig",
     "VaeParams",
@@ -61,7 +52,7 @@ __all__ = [
     "answered_at_k",
     "apply_ruleset",
     "build_vocab",
-    "default_ruleset",
+    "builtin_rules",
     "dividing_point",
     "elbo_loss",
     "extract_first_sentence",
@@ -74,8 +65,6 @@ __all__ = [
     "provenance_entry",
     "read_jsonl",
     "reconstruction_loss",
-    "register_rule",
-    "ruleset_from_config",
     "sample_size",
     "save_checkpoint",
     "tokenize",

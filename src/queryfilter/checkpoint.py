@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .atomic import atomic_open
-from .vae import VaeConfig, VaeParams, empty_params, named_tensors
+from .vae import VaeConfig, VaeParams, empty_params, named_tensors, param_shapes
 from .vocab import Vocabulary
 
 MAGIC = b"QDVA"
@@ -53,8 +53,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, vocab).
 
     Reads the file once, front to back: head, JSON header, then each tensor
-    straight into the arrays of :func:`empty_params`.  The header's vocabulary
-    and sizes are checked before the model is allocated.  Raises
+    straight into the arrays of :func:`empty_params`.  The header's vocabulary,
+    its manifest against :func:`param_shapes` and the file's size are checked
+    before the model is allocated.  Raises
     :class:`CheckpointError` naming ``path`` on a bad magic or another version
     (retrain an older file), a truncated file or trailing bytes, a header that
     is not UTF-8 JSON within the parser's digit and nesting limits, a header
@@ -89,21 +90,18 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from exc
         except (TypeError, ValueError) as exc:  # Vocabulary and VaeConfig refuse bad values
             raise CheckpointError(f"{path}: invalid checkpoint header: {exc}") from exc
-        layout = f"{path}: tensor manifest must be the [name, shape] pairs of the config's model"
-        try:
-            declared = sum(8 * math.prod(shape) for _, shape in manifest)
-        except (TypeError, ValueError):
-            raise CheckpointError(layout) from None
+        shapes = param_shapes(config, vocab.size)
+        if manifest != [[name, list(shape)] for name, shape in shapes]:
+            raise CheckpointError(f"{path}: tensor manifest must be the [name, shape] pairs "
+                                  f"of the config's model")
+        declared = sum(8 * math.prod(shape) for _, shape in shapes)
         if 12 + header_len + declared > size:
             raise CheckpointError(f"{path}: truncated tensor payload of {declared} bytes")
         try:
             params = empty_params(config, vocab.size)
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-        tensors = named_tensors(params)
-        if manifest != [[name, list(t.shape)] for name, t in tensors]:
-            raise CheckpointError(layout)
-        for name, tensor in tensors:
+        for name, tensor in named_tensors(params):
             if fh.readinto(tensor) != tensor.nbytes:
                 raise CheckpointError(f"{path}: truncated tensor payload at {name}")
             if sys.byteorder == "big":  # the payload is little-endian

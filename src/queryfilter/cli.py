@@ -42,7 +42,7 @@ from .corpus import (
     write_jsonl,
 )
 from .metrics import answered_at_k, mrr, read_rank_file, sample_size
-from .rules import apply_ruleset, ruleset_from_config
+from .rules import apply_ruleset, builtin_rules
 from .threshold import check_partition_settings, partition
 from .vae import TrainingError, reconstruction_loss, train
 from .vocab import build_vocab, check_vocab_limits, tokenize
@@ -109,9 +109,9 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
     record.
     """
     _check_outputs(cfg.paths, "rule-filter")
-    ruleset = ruleset_from_config(cfg.ruleset.order, cfg.ruleset.disabled)
-    modified = {r.id: 0 for r in ruleset.rules if r.kind == "transform"}
-    discarded = {r.id: 0 for r in ruleset.rules if r.kind == "reject"}
+    ruleset = builtin_rules(cfg.ruleset.disabled)
+    modified = {r.id: 0 for r in ruleset if r.kind == "transform"}
+    discarded = {r.id: 0 for r in ruleset if r.kind == "reject"}
 
     def retained(reject):
         for record in read_jsonl(cfg.paths.input):
@@ -146,7 +146,7 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
     n_input = n_retained + sum(discarded.values())
     rows = []
     running = n_input
-    for rule in ruleset.rules:
+    for rule in ruleset:
         if rule.kind == "transform":
             rows.append({"rule": rule.id, "kind": "transform",
                          "modified": modified[rule.id], "retained": running})
@@ -169,7 +169,7 @@ def run_rule_filter(cfg: PipelineConfig, quiet: bool = False) -> dict:
 
 def run_bootstrap(cfg: PipelineConfig, quiet=False) -> BootstrapStats:
     _check_outputs(cfg.paths, "bootstrap")
-    ruleset = ruleset_from_config(cfg.ruleset.order, (*cfg.ruleset.disabled, "interrogation"))
+    ruleset = builtin_rules((*cfg.ruleset.disabled, "interrogation"))
     stats = BootstrapStats()
     titles = (line.rstrip("\r\n") for _, line in iter_lines(cfg.paths.titles))
     with atomic_open(cfg.paths.bootstrap) as out:

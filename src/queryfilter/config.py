@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .rules import DEFAULT_RULE_ORDER
 from .vae import VaeConfig
 
 
@@ -49,7 +48,6 @@ class ThresholdConfig:  # the keyword arguments of threshold.partition
 
 @dataclass
 class RulesetConfig:
-    order: tuple[str, ...] = DEFAULT_RULE_ORDER
     disabled: tuple[str, ...] = ()
 
 

@@ -358,13 +358,13 @@ def prepare_bootstrap(titles: Iterable[str], ruleset, stats: BootstrapStats | No
 
     Titles that do not start with "how to" (case-insensitive) are dropped.
     Surviving titles lose that prefix and any trailing question mark, then
-    pass through ``ruleset``; the ruleset must not contain the interrogation
-    rule, since stripped questions legitimately carry no question mark but
-    pre-strip remnants may.
+    pass through ``ruleset``, a tuple of rules, which must not hold the
+    interrogation rule, since stripped questions legitimately carry no
+    question mark but pre-strip remnants may.
     """
     from .rules import apply_ruleset
 
-    if "interrogation" in ruleset.rule_ids():
+    if any(rule.id == "interrogation" for rule in ruleset):
         raise ValueError("bootstrap preparation requires a ruleset without the interrogation rule")
     if stats is None:
         stats = BootstrapStats()

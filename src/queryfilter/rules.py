@@ -1,10 +1,11 @@
-"""Ordered syntactic filter rules for comment text.
+"""Syntactic filter rules for comment text.
 
 Two kinds of rules exist: *transform* rules rewrite the text (dropping
 detachable noise such as HTML tags) and *reject* rules discard it outright.
-A ruleset holds the rules that run, in order: each transform rewrites the
-current text and each reject predicate tests it; the first matching reject
-wins.  The default order puts every transform before every reject.
+A ruleset is a tuple of the rules that run, in order: each transform
+rewrites the current text and each reject predicate tests it; the first
+matching reject wins.  The builtin order puts every transform before every
+reject; a library caller adds a rule by appending it to the tuple.
 """
 
 from __future__ import annotations
@@ -119,27 +120,8 @@ class RuleOutcome:
     transforms: tuple[TransformStep, ...] = ()
 
 
-@dataclass(frozen=True)
-class Ruleset:
-    """Immutable ordered list of the rules that run; evaluation order is list order."""
-
-    rules: tuple[Rule, ...]
-
-    def __post_init__(self):
-        ids = [rule.id for rule in self.rules]
-        for i, rule_id in enumerate(ids):
-            if rule_id in ids[:i]:
-                raise ValueError(f'rule ids must be unique: "{rule_id}" repeats')
-        for rule in self.rules:
-            if rule.kind not in ("transform", "reject"):
-                raise ValueError(f'rule "{rule.id}": unknown kind "{rule.kind}"')
-
-    def rule_ids(self) -> tuple[str, ...]:
-        return tuple(rule.id for rule in self.rules)
-
-
-# Builtin rules in default order: transforms first, then rejects.  Reject
-# order matters only for which rule gets named on multi-feature comments.
+# Builtin rules in order: transforms first, then rejects.  Reject order
+# matters only for which rule gets named on multi-feature comments.
 BUILTIN_RULES: tuple[Rule, ...] = (
     Rule("html_tags", "transform", strip_html_tags),
     Rule("parentheses", "transform", strip_parentheses),
@@ -151,64 +133,31 @@ BUILTIN_RULES: tuple[Rule, ...] = (
     Rule("short_sentence", "reject", reject_short),
 )
 
-DEFAULT_RULE_ORDER = tuple(rule.id for rule in BUILTIN_RULES)
-_BUILTIN_BY_ID = {rule.id: rule for rule in BUILTIN_RULES}
 
+def builtin_rules(disabled: Iterable[str] = ()) -> tuple[Rule, ...]:
+    """The builtin rules in their order, leaving out the ``disabled`` ids.
 
-def default_ruleset(disabled: Iterable[str] = ()) -> Ruleset:
-    """The builtin eight-rule set, optionally with some rules disabled."""
-    return ruleset_from_config(DEFAULT_RULE_ORDER, disabled)
-
-
-def ruleset_from_config(order: Iterable[str], disabled: Iterable[str] = ()) -> Ruleset:
-    """Build a ruleset of the builtin rules in ``order``, leaving out ``disabled``.
-
-    Every disabled id must name a builtin rule; it need not be in ``order``.
+    Every disabled id must name a builtin rule.
     """
-    disabled_set = set(disabled)
-    unknown = disabled_set - set(_BUILTIN_BY_ID)
+    disabled = set(disabled)
+    unknown = disabled - {rule.id for rule in BUILTIN_RULES}
     if unknown:
         raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    order = tuple(order)
-    for rule_id in order:
-        if rule_id not in _BUILTIN_BY_ID:
-            raise ValueError(f'unknown rule id "{rule_id}"')
-    rules = Ruleset(tuple(_BUILTIN_BY_ID[i] for i in order)).rules  # refuses a repeated id
-    return Ruleset(tuple(rule for rule in rules if rule.id not in disabled_set))
+    return tuple(rule for rule in BUILTIN_RULES if rule.id not in disabled)
 
 
-def register_rule(ruleset: Ruleset, rule_id: str, kind: str, fn: Callable) -> Ruleset:
-    """Return a new ruleset with the rule appended within its kind group.
-
-    Transforms are inserted before the first reject rule; rejects go last.
-    By convention a rule should target one narrow construction, err on the
-    side of keeping valid queries, and not duplicate an existing rule's
-    matches; none of that is enforced here.
-    """
-    new_rule = Rule(rule_id, kind, fn)
-    rules = list(ruleset.rules)
-    if kind == "transform":
-        insert_at = len(rules)
-        for i, rule in enumerate(rules):
-            if rule.kind == "reject":
-                insert_at = i
-                break
-        rules.insert(insert_at, new_rule)
-    else:
-        rules.append(new_rule)
-    return Ruleset(tuple(rules))
-
-
-def apply_ruleset(ruleset: Ruleset, text: str) -> RuleOutcome:
-    """Run the ruleset's rules over ``text`` in list order.
+def apply_ruleset(rules: tuple[Rule, ...], text: str) -> RuleOutcome:
+    """Run ``rules`` over ``text`` in order.
 
     A reject rule sees the text as transformed by the rules before it; the
-    first match wins and names the rule.  If no reject fires, the outcome is ``transformed`` when the text
-    changed and ``kept`` otherwise.
+    first match wins and names the rule.  If no reject fires, the outcome is
+    ``transformed`` when the text changed and ``kept`` otherwise.  A
+    hand-built tuple is not checked: it may repeat an id, and a rule of any
+    kind other than ``"transform"`` runs as a reject.
     """
     steps: list[TransformStep] = []
     current = text
-    for rule_id, kind, fn in ruleset.rules:
+    for rule_id, kind, fn in rules:
         if kind == "transform":
             changed = fn(current)
             if changed != current:

@@ -142,32 +142,32 @@ def named_tensors(params: VaeParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def param_shapes(config: VaeConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Each tensor's name and shape, in :func:`named_tensors` order, allocating nothing."""
+    v, e, h, k = vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
+
+    def gru(name: str, in_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+        return [(f"{name}.w", (3 * h, in_dim)), (f"{name}.u", (3 * h, h)), (f"{name}.b", (3 * h,))]
+
+    return [("embedding", (v, e)), *gru("enc_fwd", e), *gru("enc_bwd", e),
+            ("latent_w", (2 * k, h)), ("latent_b", (2 * k,)),
+            ("dec_init_w", (h, k)), ("dec_init_b", (h,)), *gru("dec", e),
+            ("out_w", (v, h)), ("out_b", (v,))]
+
+
 def empty_params(config: VaeConfig, vocab_size: int) -> VaeParams:
-    """Uninitialized tensors of the model's shapes, for a loader to fill.
+    """Uninitialized tensors of :func:`param_shapes`, for a loader to fill.
 
     A model too large to allocate raises :class:`ValueError` naming its sizes.
     """
-    v, e, h, k = vocab_size, config.embed_dim, config.hidden_dim, config.latent_dim
-
-    def gru(in_dim: int) -> GruWeights:
-        return GruWeights(np.empty((3 * h, in_dim)), np.empty((3 * h, h)), np.empty(3 * h))
-
     try:
-        return VaeParams(
-            embedding=np.empty((v, e)),
-            enc_fwd=gru(e),
-            enc_bwd=gru(e),
-            latent_w=np.empty((2 * k, h)),
-            latent_b=np.empty(2 * k),
-            dec_init_w=np.empty((h, k)),
-            dec_init_b=np.empty(h),
-            dec=gru(e),
-            out_w=np.empty((v, h)),
-            out_b=np.empty(v),
-        )
+        t = [np.empty(shape) for _, shape in param_shapes(config, vocab_size)]
     except (MemoryError, ValueError):  # ValueError: too large for numpy to index
-        raise ValueError(f"cannot allocate a model with embed_dim {e}, hidden_dim {h}, "
-                         f"latent_dim {k} and {v} vocabulary tokens") from None
+        raise ValueError(f"cannot allocate a model with embed_dim {config.embed_dim}, "
+                         f"hidden_dim {config.hidden_dim}, latent_dim {config.latent_dim} "
+                         f"and {vocab_size} vocabulary tokens") from None
+    return VaeParams(t[0], GruWeights(*t[1:4]), GruWeights(*t[4:7]), *t[7:11],
+                     GruWeights(*t[11:14]), t[14], t[15])
 
 
 def init_params(config: VaeConfig, vocab_size: int, seed: int) -> VaeParams:

@@ -19,7 +19,7 @@ from queryfilter.corpus import extract_first_sentence, read_jsonl
 from queryfilter.metrics import answered_at_k, mrr, sample_size
 from queryfilter.rules import (
     apply_ruleset,
-    default_ruleset,
+    builtin_rules,
     reject_interrogation,
     reject_javadoc,
     reject_non_english,
@@ -63,7 +63,7 @@ def test_criterion_1_table_golden_suite():
         assert strip_html_tags("<p>parse line</p>") == "parse line"
         assert strip_parentheses("(TODO) Send requests") == "Send requests"
         # documented rejections, each naming the expected rule
-        ruleset = default_ruleset()
+        ruleset = builtin_rules()
         expected = [
             ("Returns a {@link Support}", "javadoc_tags"),
             ("See https://github.com/", "urls"),
@@ -247,7 +247,7 @@ def _random_text(rng):
 
 def test_criterion_7_idempotence_and_closure():
     with criterion("7 ruleset idempotence and closure on 10k random strings"):
-        ruleset = default_ruleset()
+        ruleset = builtin_rules()
         predicates = (
             reject_javadoc, reject_url, reject_non_english,
             reject_punctuation_only, reject_interrogation, reject_short,
@@ -355,7 +355,7 @@ def test_criterion_10_extended_corpus_retention(tmp_path):
         records = list(read_jsonl(corpus_path))
         n = len(records)
         assert n > 0
-        ruleset = default_ruleset()
+        ruleset = builtin_rules()
         survivors = []
         for record in records:
             outcome = apply_ruleset(ruleset, extract_first_sentence(record.comment))

@@ -15,7 +15,7 @@ import pytest
 
 import queryfilter
 from queryfilter.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from queryfilter import cli, corpus, vae
+from queryfilter import checkpoint, cli, corpus, vae
 from queryfilter.cli import _load_cfg, build_parser, main
 from queryfilter.config import PathsConfig, load_config
 from queryfilter.corpus import (CorpusError, Record, _record_from_obj, iter_json_objects,
@@ -188,15 +188,6 @@ kl_anneal_steps = 100
 
 
 class TestRuleFilterCommand:
-    @pytest.mark.parametrize("disabled", ["", "urls"])
-    def test_repeated_rule_id_in_order_exits_1_naming_it(self, tmp_path, capsys, disabled):
-        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
-        cfg = small_config(tmp_path, extra="[ruleset]\norder = urls, html_tags, urls\n"
-                                            f"disabled = {disabled}\n")
-        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 1
-        assert capsys.readouterr().err == 'error: rule ids must be unique: "urls" repeats\n'
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "pipeline.ini"]
-
     def test_table_examples(self, tmp_path):
         write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
         cfg = small_config(tmp_path)
@@ -271,18 +262,6 @@ class TestRuleFilterCommand:
         rules = [row["rule"] for row in stats["rows"]]
         assert "urls" not in rules and "short_sentence" not in rules
         assert len(rules) == 6
-
-    def test_stats_rows_follow_configured_order(self, tmp_path):
-        write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
-        cfg = small_config(
-            tmp_path,
-            extra="[ruleset]\norder = parentheses, html_tags, short_sentence, urls\n",
-        )
-        main(["rule-filter", "--config", str(cfg), "--quiet"])
-        stats = json.loads((tmp_path / "rule_stats.json").read_text())
-        assert [row["rule"] for row in stats["rows"]] == [
-            "parentheses", "html_tags", "short_sentence", "urls",
-        ]
 
     def test_missing_input_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -417,6 +396,17 @@ class TestBootstrapCommand:
             outputs.append((tmp_path / "bootstrap.txt").read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0] == b"convert string to int\nread a file line by line\nsort a list\n"
+
+    @pytest.mark.parametrize("extra, kept", [
+        ("", ["read a file from disk"]),
+        ("[ruleset]\ndisabled = short_sentence\n", ["sort", "read a file from disk"]),
+    ], ids=["default", "short_sentence-disabled"])
+    def test_disabled_rules_do_not_run(self, tmp_path, extra, kept):
+        (tmp_path / "titles.txt").write_text("How to sort?\nHow to read a file from disk?\n",
+                                             encoding="utf-8")
+        cfg = small_config(tmp_path, extra=extra)
+        assert main(["bootstrap", "--config", str(cfg), "--quiet"]) == 0
+        assert (tmp_path / "bootstrap.txt").read_text().splitlines() == kept
 
     def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
         (tmp_path / "titles.txt").write_bytes(
@@ -803,6 +793,22 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
         assert (tmp_path / "scored.jsonl").read_bytes() == before
+
+    def test_manifest_unlike_the_headers_model_exits_4_before_allocating(
+            self, trained_pipeline, capsys, monkeypatch):
+        # The header claims embed_dim 10**9 (over 50 GiB) beside the small model's manifest.
+        tmp_path, cfg = trained_pipeline
+        ckpt = tmp_path / "model.ckpt"
+        rewrite_header(ckpt, lambda h: {**h, "config": {**h["config"], "embed_dim": 10**9}})
+
+        def no_allocation(config, vocab_size):
+            raise AssertionError("load_checkpoint allocated the model")
+
+        monkeypatch.setattr(checkpoint, "empty_params", no_allocation)
+        assert main(["score", "--config", str(cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err == (f"error: {ckpt}: tensor manifest must be the "
+                                           f"[name, shape] pairs of the config's model\n")
+        assert not (tmp_path / "scored.jsonl").exists()
 
     def test_huge_posterior_variance_scores_as_the_mean(self, trained_pipeline):
         # Scoring decodes from z = mu; at logvar 3000, exp(logvar / 2) is infinite.

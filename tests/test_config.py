@@ -26,6 +26,7 @@ def test_unknown_section_rejected(tmp_path):
         ("pipeline", "paths"),
         ("paths", "outputs"),
         ("ruleset", "rule_order"),
+        ("ruleset", "order"),
         ("tokenizer", "vocab_size"),
         ("threshold", "seed"),
         ("vae", "hidden"),
@@ -48,8 +49,7 @@ seed = 42
 [paths]
 input = data/pairs.jsonl
 [ruleset]
-order = urls, html_tags ,short_sentence
-disabled = urls
+disabled = urls ,short_sentence
 [tokenizer]
 max_size = 500
 [vae]
@@ -63,8 +63,7 @@ tol = 1e-6
     assert cfg.seed == 42
     assert cfg.paths.input == "data/pairs.jsonl"
     assert cfg.paths.titles == PipelineConfig().paths.titles
-    assert cfg.ruleset.order == ("urls", "html_tags", "short_sentence")
-    assert cfg.ruleset.disabled == ("urls",)
+    assert cfg.ruleset.disabled == ("urls", "short_sentence")
     assert cfg.tokenizer.max_size == 500 and isinstance(cfg.tokenizer.max_size, int)
     assert cfg.vae.hidden_dim == 32 and isinstance(cfg.vae.hidden_dim, int)
     assert cfg.vae.learning_rate == 0.002

@@ -21,7 +21,7 @@ from queryfilter.corpus import (
     read_jsonl,
     write_jsonl,
 )
-from queryfilter.rules import default_ruleset
+from queryfilter.rules import builtin_rules
 
 
 _ENTRY_KEYS = ("stage", "action", "rule_id", "before", "after")
@@ -555,7 +555,7 @@ class TestExtractFirstSentence:
 
 class TestPrepareBootstrap:
     def _ruleset(self):
-        return default_ruleset(disabled=("interrogation",))
+        return builtin_rules(("interrogation",))
 
     def test_how_to_question_becomes_declarative(self):
         stats = BootstrapStats()
@@ -581,7 +581,7 @@ class TestPrepareBootstrap:
 
     def test_requires_interrogation_free_ruleset(self):
         with pytest.raises(ValueError, match="interrogation"):
-            list(prepare_bootstrap(["How to x"], default_ruleset()))
+            list(prepare_bootstrap(["How to x"], builtin_rules()))
 
     @given(st.text(max_size=80))
     def test_outputs_are_declarative(self, title):

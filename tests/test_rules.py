@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from queryfilter.rules import (
-    DEFAULT_RULE_ORDER,
+    BUILTIN_RULES,
+    Rule,
     _TAG_RE,
     _collapse,
     apply_ruleset,
-    default_ruleset,
-    register_rule,
+    builtin_rules,
     reject_interrogation,
     reject_javadoc,
     reject_non_english,
     reject_punctuation_only,
     reject_short,
     reject_url,
-    ruleset_from_config,
     strip_html_tags,
     strip_parentheses,
 )
@@ -99,106 +98,58 @@ class TestRejects:
 
 class TestApplyRuleset:
     def test_kept(self):
-        outcome = apply_ruleset(default_ruleset(), "convert string to int")
+        outcome = apply_ruleset(builtin_rules(), "convert string to int")
         assert outcome.action == "kept"
         assert outcome.text == "convert string to int"
 
     def test_transformed_with_steps(self):
-        outcome = apply_ruleset(default_ruleset(), "<p>parse the line now</p>")
+        outcome = apply_ruleset(builtin_rules(), "<p>parse the line now</p>")
         assert outcome.action == "transformed"
         assert outcome.text == "parse the line now"
         assert [s.rule_id for s in outcome.transforms] == ["html_tags"]
 
     def test_reject_sees_transformed_text(self):
         # parenthesis removal leaves a single word, so the short rule fires
-        outcome = apply_ruleset(default_ruleset(), "(fast) sort")
+        outcome = apply_ruleset(builtin_rules(), "(fast) sort")
         assert outcome.action == "rejected"
         assert outcome.rule_id == "short_sentence"
 
     def test_first_matching_reject_wins(self):
         outcome = apply_ruleset(
-            default_ruleset(), "see https://example.com and @param x"
+            builtin_rules(), "see https://example.com and @param x"
         )
         assert outcome.rule_id == "javadoc_tags"
 
     def test_rejected_has_no_text(self):
-        outcome = apply_ruleset(default_ruleset(), "DEPRECATED")
+        outcome = apply_ruleset(builtin_rules(), "DEPRECATED")
         assert outcome.action == "rejected"
         assert outcome.text is None
         assert outcome.rule_id == "short_sentence"
 
     def test_disabled_rule_skipped(self):
-        ruleset = default_ruleset(disabled=("short_sentence",))
+        ruleset = builtin_rules(("short_sentence",))
         outcome = apply_ruleset(ruleset, "quick sort")
         assert outcome.action == "kept"
 
-    def test_configured_order_interleaves_rejects_and_transforms(self):
-        ruleset = ruleset_from_config(("urls", "parentheses", "short_sentence"))
-        # a reject listed before a transform sees the untransformed text
-        outcome = apply_ruleset(ruleset, "Fetch the page (see www.example.com) now please")
-        assert (outcome.action, outcome.rule_id, outcome.transforms) == ("rejected", "urls", ())
-        # a reject listed after it sees the transformed text
-        outcome = apply_ruleset(ruleset, "Open it (twice over please)")
-        assert (outcome.action, outcome.rule_id) == ("rejected", "short_sentence")
-        assert [s.rule_id for s in outcome.transforms] == ["parentheses"]
-        # the default order runs the transform first, so the URL is gone
-        outcome = apply_ruleset(default_ruleset(), "Fetch the page (see www.example.com) now please")
-        assert (outcome.action, outcome.text) == ("transformed", "Fetch the page now please")
 
-    def test_disabled_rules_skipped_in_configured_order(self):
-        text = "Fetch the page (see www.example.com) now please"
-        ruleset = ruleset_from_config(("urls", "parentheses", "short_sentence"), ("urls",))
-        outcome = apply_ruleset(ruleset, text)
-        assert (outcome.action, outcome.text) == ("transformed", "Fetch the page now please")
-        ruleset = ruleset_from_config(("urls", "parentheses"), ("parentheses",))
-        assert apply_ruleset(ruleset, text).rule_id == "urls"
-        ruleset = ruleset_from_config(("urls", "parentheses"), ("urls", "parentheses"))
-        outcome = apply_ruleset(ruleset, text)
-        assert (outcome.action, outcome.text) == ("kept", text)
-
-
-class TestRulesetFromConfig:
+class TestBuiltinRules:
     def test_disabled_rule_left_out(self):
-        ruleset = ruleset_from_config(DEFAULT_RULE_ORDER, {"urls"})
-        assert "urls" not in ruleset.rule_ids()
-        assert ruleset.rule_ids() == tuple(i for i in DEFAULT_RULE_ORDER if i != "urls")
+        ids = [rule.id for rule in builtin_rules({"urls"})]
+        assert ids == [rule.id for rule in BUILTIN_RULES if rule.id != "urls"]
 
     def test_unknown_disabled_id_rejected(self):
-        with pytest.raises(ValueError, match="nonsense"):
-            ruleset_from_config(DEFAULT_RULE_ORDER, {"urls", "nonsense"})
+        with pytest.raises(ValueError, match=r"^unknown rule ids: \['nonsense'\]$"):
+            builtin_rules({"urls", "nonsense"})
 
-    def test_repeated_order_id_rejected_even_when_disabled(self):
-        with pytest.raises(ValueError, match='^rule ids must be unique: "urls" repeats$'):
-            ruleset_from_config(("urls", "parentheses", "urls"), {"urls"})
-
-
-class TestRegisterRule:
     def test_append_reject(self):
-        rs = default_ruleset()
-        rs2 = register_rule(rs, "contains_todo", "reject", lambda t: "todo" in t.lower())
-        assert len(rs2.rules) == len(rs.rules) + 1
-        assert rs2.rules[-1].id == "contains_todo"
-        assert apply_ruleset(rs2, "fix this TODO before release").rule_id == "contains_todo"
-
-    def test_duplicate_id_rejected(self):
-        with pytest.raises(ValueError, match='^rule ids must be unique: "urls" repeats$'):
-            register_rule(default_ruleset(), "urls", "reject", lambda t: False)
-
-    def test_transform_inserted_before_rejects_and_ordering_observed(self):
-        rs = register_rule(default_ruleset(), "lowercase", "transform", str.lower)
-        kinds = [r.kind for r in rs.rules]
-        assert kinds == sorted(kinds, key=lambda k: k == "reject")
-        # subsequent (reject) rules see the lowercased text
-        rs = register_rule(rs, "no_x_word", "reject", lambda t: "xyzzy" in t)
-        outcome = apply_ruleset(rs, "the magic word XYZZY appears here")
-        assert outcome.action == "rejected"
-        assert outcome.rule_id == "no_x_word"
+        rules = builtin_rules() + (Rule("contains_todo", "reject", lambda t: "todo" in t.lower()),)
+        assert apply_ruleset(rules, "fix this TODO before release").rule_id == "contains_todo"
 
 
 class TestInvariants:
     @given(st.text(max_size=120))
     def test_idempotent_on_retained_output(self, text):
-        rs = default_ruleset()
+        rs = builtin_rules()
         outcome = apply_ruleset(rs, text)
         assert outcome.action in ("kept", "transformed", "rejected")
         if outcome.action == "rejected":
@@ -210,7 +161,7 @@ class TestInvariants:
 
     @given(st.text(max_size=120))
     def test_retained_output_passes_every_reject_predicate(self, text):
-        outcome = apply_ruleset(default_ruleset(), text)
+        outcome = apply_ruleset(builtin_rules(), text)
         if outcome.action != "rejected":
             for predicate in REJECT_PREDICATES:
                 assert not predicate(outcome.text)

@@ -18,10 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from queryfilter.checkpoint import save_checkpoint
 from queryfilter.cli import main
-from queryfilter.config import PipelineConfig
 from queryfilter.corpus import (Record, extract_first_sentence, provenance_entry, read_jsonl,
                                 record_line)
-from queryfilter.rules import apply_ruleset, ruleset_from_config
+from queryfilter.rules import apply_ruleset, builtin_rules
 from queryfilter.threshold import partition
 from queryfilter.vae import VaeConfig, init_params, reconstruction_loss
 from queryfilter.vocab import SPECIAL_TOKENS, Vocabulary, tokenize
@@ -76,7 +75,7 @@ def _check(expected, code, err):
 
 def _rule_filtered(records):
     """``{retained: records, rejected: records}`` as rule-filter writes them."""
-    ruleset = ruleset_from_config(PipelineConfig().ruleset.order, ())
+    ruleset = builtin_rules()
     out = {True: [], False: []}
     for record in records:
         first = extract_first_sentence(record.comment)
