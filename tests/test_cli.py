@@ -263,6 +263,23 @@ class TestRuleFilterCommand:
         assert "urls" not in rules and "short_sentence" not in rules
         assert len(rules) == 6
 
+    def test_stats_rows_follow_builtin_order(self, tmp_path):
+        write_pairs(tmp_path / "pairs.jsonl", [("k1", "convert string to int")])
+        cfg = small_config(tmp_path, extra="[ruleset]\ndisabled = urls\n")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 0
+        stats = json.loads((tmp_path / "rule_stats.json").read_text())
+        assert [row["rule"] for row in stats["rows"]] == [
+            "html_tags", "parentheses", "javadoc_tags", "non_english", "punctuation",
+            "interrogation", "short_sentence",
+        ]
+
+    def test_order_key_exits_1_naming_it(self, tmp_path, capsys):
+        write_pairs(tmp_path / "pairs.jsonl", TABLE_EXAMPLES)
+        cfg = small_config(tmp_path, extra="[ruleset]\norder = urls, html_tags\n")
+        assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: unknown keys in [ruleset]: ['order']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "pipeline.ini"]
+
     def test_missing_input_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["rule-filter", "--config", str(cfg), "--quiet"]) == 2

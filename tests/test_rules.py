@@ -131,6 +131,38 @@ class TestApplyRuleset:
         outcome = apply_ruleset(ruleset, "quick sort")
         assert outcome.action == "kept"
 
+    def test_rules_run_in_tuple_order(self):
+        by_id = {rule.id: rule for rule in BUILTIN_RULES}
+        rules = (by_id["urls"], by_id["parentheses"], by_id["short_sentence"])
+        # a reject placed before a transform sees the untransformed text
+        outcome = apply_ruleset(rules, "Fetch the page (see www.example.com) now please")
+        assert (outcome.action, outcome.rule_id, outcome.transforms) == ("rejected", "urls", ())
+        # a reject placed after it sees the transformed text
+        outcome = apply_ruleset(rules, "Open it (twice over please)")
+        assert (outcome.action, outcome.rule_id) == ("rejected", "short_sentence")
+        assert [s.rule_id for s in outcome.transforms] == ["parentheses"]
+        # the builtin order runs the transform first, so the URL is gone
+        outcome = apply_ruleset(builtin_rules(), "Fetch the page (see www.example.com) now please")
+        assert (outcome.action, outcome.text) == ("transformed", "Fetch the page now please")
+
+    def test_transform_placed_before_rejects_is_seen_by_them(self):
+        rules = ((Rule("lowercase", "transform", str.lower),) + builtin_rules()
+                 + (Rule("no_x_word", "reject", lambda t: "xyzzy" in t),))
+        outcome = apply_ruleset(rules, "the magic word XYZZY appears here")
+        assert (outcome.action, outcome.rule_id) == ("rejected", "no_x_word")
+        assert [s.rule_id for s in outcome.transforms] == ["lowercase"]
+
+    def test_kind_other_than_transform_runs_as_reject(self):
+        rules = (Rule("odd_kind", "filter", lambda t: "todo" in t),)
+        assert apply_ruleset(rules, "fix the todo").rule_id == "odd_kind"
+        assert apply_ruleset(rules, "fix the bug").action == "kept"
+
+    def test_repeated_id_in_hand_built_tuple_is_not_checked(self):
+        rules = (Rule("twice", "transform", str.strip), Rule("twice", "transform", str.upper))
+        outcome = apply_ruleset(rules, " sort a list ")
+        assert (outcome.action, outcome.text) == ("transformed", "SORT A LIST")
+        assert [s.rule_id for s in outcome.transforms] == ["twice", "twice"]
+
 
 class TestBuiltinRules:
     def test_disabled_rule_left_out(self):
